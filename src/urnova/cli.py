@@ -8,9 +8,11 @@ Exit codes by error category: 0 success, 2 parse, 3 validation, 4 horizon,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .coefficients import theta_table
@@ -139,21 +141,18 @@ def kernel_to_json(kernel: SymmetricKernel) -> dict:
     return {"arity": kernel.arity, "entries": entries}
 
 
-def _meta(args, extra=None):
-    # the hash covers computation parameters; the output location is not one
-    config = {
-        k: str(v)
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "out")
-    }
+def _meta(args, *inputs, **extra):
+    # the hash covers what the run computes: the command, its own flag
+    # values and the parsed inputs; no path (input file or --out) is hashed
+    config = {k: v for k, v in vars(args).items() if k not in ("model", "kernel", "out")}
+    config["inputs"] = [repr(x) for x in inputs]
     meta = {
         "tool_version": __version__,
         "param_hash": param_hash(config),
-        "seed": getattr(args, "seed", None) if getattr(args, "seed", None) is not None else "",
+        "seed": getattr(args, "seed", ""),
         "rng": RNG_ALGORITHM,
     }
-    if extra:
-        meta.update(extra)
+    meta.update(extra)
     return meta
 
 
@@ -167,7 +166,7 @@ def _require_urn(model, what: str) -> UrnModel:
 
 def cmd_validate(args):
     model = parse_model_file(args.model)
-    rep = Report(_meta(args), ["field", "value"])
+    rep = Report(_meta(args, model), ["field", "value"])
     if isinstance(model, MixtureModel):
         rep.add(field="kind", value="mixture")
         rep.add(field="epsilon", value=str(model.epsilon))
@@ -187,7 +186,7 @@ def cmd_validate(args):
 def cmd_pmf(args):
     model = parse_model_file(args.model)
     rep = Report(
-        _meta(args),
+        _meta(args, model),
         ["sequence", "ordered_pmf", "multiset_weight"],
         rational_columns=("ordered_pmf", "multiset_weight"),
     )
@@ -199,8 +198,7 @@ def cmd_pmf(args):
             multiset_weight=model.multiset_weight(seq),
         )
         return rep
-    size = args.M or 1
-    for ms in model.alphabet.multisets(size):
+    for ms in model.alphabet.multisets(args.M):
         rep.add(
             sequence=" ".join(ms),
             ordered_pmf=model.joint_pmf(ms),
@@ -211,10 +209,8 @@ def cmd_pmf(args):
 
 def cmd_sample(args):
     model = _require_urn(parse_model_file(args.model), "sampling")
-    if args.seed is None:
-        raise ValidationError("sample needs --seed for reproducibility")
     n = args.M or model.length
-    rep = Report(_meta(args), ["index", "sequence"])
+    rep = Report(_meta(args, model), ["index", "sequence"])
     for i in range(args.count):
         seq = model.sample(n, seed=args.seed + i)
         rep.add(index=i, sequence=" ".join(seq))
@@ -223,11 +219,9 @@ def cmd_sample(args):
 
 def cmd_coeffs(args):
     model = _require_urn(parse_model_file(args.model), "coefficient tables")
-    if not args.M:
-        raise ValidationError("coeffs needs --M")
     table = theta_table(args.M, model.alpha_total, model.c)
     rep = Report(
-        _meta(args),
+        _meta(args, model),
         ["table", "i1", "i2", "i3", "i4", "value"],
         rational_columns=("value",),
     )
@@ -246,15 +240,11 @@ def cmd_coeffs(args):
 
 def cmd_decompose(args):
     model = _require_urn(parse_model_file(args.model), "decomposition")
-    if not args.M:
-        raise ValidationError("decompose needs --M")
-    if not args.kernel:
-        raise ValidationError("decompose needs --kernel")
     statistic = parse_kernel_file(args.kernel[0], model, args.M)
     result = decompose(model, statistic, args.M)
     table = theta_table(args.M, model.alpha_total, model.c)
     rep = Report(
-        _meta(args),
+        _meta(args, model, statistic),
         ["row", "level", "a", "multiset", "value"],
         rational_columns=("value",),
     )
@@ -278,23 +268,15 @@ def cmd_decompose(args):
 
 def cmd_covariance(args):
     model = _require_urn(parse_model_file(args.model), "covariance")
-    if not args.M:
-        raise ValidationError("covariance needs --M")
-    if len(args.kernel or ()) != 2:
-        raise ValidationError("covariance needs two --kernel files")
-    left = parse_kernel_file(args.kernel[0], model, args.M)
-    right = parse_kernel_file(args.kernel[1], model, args.M)
+    left, right = (parse_kernel_file(path, model, args.M) for path in args.kernel)
+    meta = _meta(args, model, left, right)
     # the identity is stated for centered statistics; center here and record
     mean_left = expectation(model, left)
     mean_right = expectation(model, right)
     left = left.shift(-mean_left)
     right = right.shift(-mean_right)
     levels, total = covariance_levels(model, left, right, args.M)
-    rep = Report(
-        _meta(args),
-        ["row", "level", "value"],
-        rational_columns=("value",),
-    )
+    rep = Report(meta, ["row", "level", "value"], rational_columns=("value",))
     rep.add(row="mean_left", level="", value=mean_left)
     rep.add(row="mean_right", level="", value=mean_right)
     for s, v in enumerate(levels, start=1):
@@ -306,29 +288,24 @@ def cmd_covariance(args):
 
 def cmd_degenerate_cov(args):
     model = _require_urn(parse_model_file(args.model), "degenerate covariance")
-    if len(args.kernel or ()) != 2:
-        raise ValidationError("degenerate-cov needs two --kernel files")
-    left = parse_kernel_file(args.kernel[0], model)
-    right = parse_kernel_file(args.kernel[1], model)
+    left, right = (parse_kernel_file(path, model) for path in args.kernel)
     overlap = args.overlap if args.overlap is not None else left.arity
     value = degenerate_cov(model, left, right, overlap)
-    rep = Report(_meta(args), ["overlap", "value"], rational_columns=("value",))
+    rep = Report(_meta(args, model, left, right), ["overlap", "value"],
+                 rational_columns=("value",))
     rep.add(overlap=overlap, value=value)
     return rep
 
 
 def cmd_check_wi(args):
     model = parse_model_file(args.model)
-    n_max = args.level or 2
     rep = Report(
-        _meta(args, {"scope": f"weakly-independent-up-to-level-{n_max}"}),
+        _meta(args, model, scope=f"weakly-independent-up-to-level-{args.level}"),
         ["level", "row", "basis_index", "overlap", "witness", "value"],
         rational_columns=("value",),
     )
-    all_pass = True
-    for n in range(1, n_max + 1):
+    for n in range(1, args.level + 1):
         result = check_weak_independence(model, n)
-        all_pass = all_pass and result.passed
         rep.add(level=n, row="summary", basis_index=len(result.basis),
                 overlap="", witness="passed" if result.passed else "failed", value="")
         for r in result.unchecked_overlaps:
@@ -341,12 +318,9 @@ def cmd_check_wi(args):
 
 
 def cmd_counterexample(args):
-    if not args.epsilon:
-        raise ValidationError("counterexample needs --epsilon")
-    eps = _rational(args.epsilon, "--epsilon")
-    result = witness_report(eps)
+    result = witness_report(args.epsilon)
     rep = Report(_meta(args), ["quantity", "value"], rational_columns=("value",))
-    rep.add(quantity="epsilon", value=eps)
+    rep.add(quantity="epsilon", value=args.epsilon)
     rep.add(quantity="E[phi|second=0]", value=result.given_second_zero)
     rep.add(quantity="E[phi|second=1]", value=result.given_second_one)
     rep.add(quantity="E[phi|third=0]", value=result.given_third_zero)
@@ -357,24 +331,19 @@ def cmd_counterexample(args):
 
 def cmd_weak_copy(args):
     model = _require_urn(parse_model_file(args.model), "weak copies")
-    if not args.kernel:
-        raise ValidationError("weak-copy needs --kernel (the seed statistic)")
-    level = args.level or 1
-    eta = _rational(args.eta, "--eta") if args.eta else Fraction(1, 2)
-    seed_stat = parse_kernel_file(args.kernel[0], model, level + 1)
-    tilted = build_weak_copy(model, level, seed_stat, eta)
+    seed_stat = parse_kernel_file(args.kernel[0], model, args.level + 1)
+    tilted = build_weak_copy(model, args.level, seed_stat, args.eta)
     result = verify_weak_copy(tilted)
     rep = Report(
-        _meta(args, {
-            "scale": str(tilted.scale),
-            "density_bound": str(result.density_bound),
-            "passed": str(result.passed),
-        }),
+        _meta(
+            args, model, seed_stat,
+            scale=str(tilted.scale),
+            density_bound=str(result.density_bound),
+            passed=str(result.passed),
+        ),
         ["length", "sequence", "base_pmf", "tilted_pmf", "difference"],
         rational_columns=("base_pmf", "tilted_pmf", "difference"),
     )
-    import itertools
-
     for length in range(result.checked_length + 1):
         for seq in itertools.product(model.alphabet.labels, repeat=length):
             base_p = model.joint_pmf(seq)
@@ -385,8 +354,6 @@ def cmd_weak_copy(args):
 
 
 def cmd_wor_variance(args):
-    if not args.M or not args.draws:
-        raise ValidationError("zhao-chen needs --M (population) and --draws (sample)")
     levels = [args.level] if args.level else list(range(1, args.draws + 1))
     rep = Report(
         _meta(args),
@@ -402,8 +369,6 @@ def cmd_wor_variance(args):
 
 
 def cmd_ustat_bound(args):
-    if not args.N:
-        raise ValidationError("lemma3 needs --N")
     rep = Report(
         _meta(args),
         ["N", "n", "i", "constant"],
@@ -421,19 +386,67 @@ def cmd_ustat_bound(args):
     return rep
 
 
+# -- flags ---------------------------------------------------------------------
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return value
+
+
+def rational(text: str) -> Fraction:
+    try:
+        return as_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+
+
+# argparse settings of each flag; a command's table entry may add to them
+FLAGS = {
+    "model": {"metavar": "PATH"},
+    "M": {"type": positive_int},
+    "seq": {"metavar": "LABELS"},
+    "count": {"type": positive_int, "default": 1},
+    "seed": {"type": int},
+    "level": {"type": positive_int},
+    "overlap": {"type": non_negative_int},
+    "epsilon": {"type": rational},
+    "eta": {"type": rational, "default": Fraction(1, 2)},
+    "draws": {"type": positive_int},
+    "N": {"type": positive_int},
+    "n": {"type": positive_int},
+}
+REQUIRED = {"required": True}
+
+
+class Command(NamedTuple):
+    run: Callable
+    flags: dict  # flag -> settings added to FLAGS[flag]; every command also takes --out
+    kernels: int = 0  # number of --kernel files; nonzero adds a required --kernel
+
+
 COMMANDS = {
-    "validate": cmd_validate,
-    "pmf": cmd_pmf,
-    "sample": cmd_sample,
-    "coeffs": cmd_coeffs,
-    "decompose": cmd_decompose,
-    "covariance": cmd_covariance,
-    "degenerate-cov": cmd_degenerate_cov,
-    "check-wi": cmd_check_wi,
-    "counterexample": cmd_counterexample,
-    "weak-copy": cmd_weak_copy,
-    "zhao-chen": cmd_wor_variance,
-    "lemma3": cmd_ustat_bound,
+    "validate": Command(cmd_validate, {"model": REQUIRED}),
+    "pmf": Command(cmd_pmf, {"model": REQUIRED, "M": {"default": 1}, "seq": {}}),
+    "sample": Command(cmd_sample, {"model": REQUIRED, "M": {}, "count": {}, "seed": REQUIRED}),
+    "coeffs": Command(cmd_coeffs, {"model": REQUIRED, "M": REQUIRED}),
+    "decompose": Command(cmd_decompose, {"model": REQUIRED, "M": REQUIRED}, kernels=1),
+    "covariance": Command(cmd_covariance, {"model": REQUIRED, "M": REQUIRED}, kernels=2),
+    "degenerate-cov": Command(cmd_degenerate_cov, {"model": REQUIRED, "overlap": {}}, kernels=2),
+    "check-wi": Command(cmd_check_wi, {"model": REQUIRED, "level": {"default": 2}}),
+    "counterexample": Command(cmd_counterexample, {"epsilon": REQUIRED}),
+    "weak-copy": Command(cmd_weak_copy, {"model": REQUIRED, "level": {"default": 1}, "eta": {}},
+                         kernels=1),
+    "zhao-chen": Command(cmd_wor_variance, {"M": REQUIRED, "draws": REQUIRED, "level": {}}),
+    "lemma3": Command(cmd_ustat_bound, {"N": REQUIRED, "n": {}, "level": {}}),
 }
 
 
@@ -443,30 +456,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact conditional calculus and decompositions for urn sequences",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--model")
-        p.add_argument("--kernel", action="append")
-        p.add_argument("--M", type=int)
-        p.add_argument("--level", type=int)
-        p.add_argument("--epsilon")
-        p.add_argument("--eta")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=["csv"], default="csv")
-        p.add_argument("--count", type=int, default=1)
-        p.add_argument("--seq")
-        p.add_argument("--draws", type=int)
-        p.add_argument("--overlap", type=int)
-        p.add_argument("--N", type=int)
-        p.add_argument("--n", type=int)
+        for flag, settings in command.flags.items():
+            p.add_argument(f"--{flag}", **FLAGS[flag], **settings)
+        if command.kernels:
+            p.add_argument("--kernel", action="append", required=True, metavar="PATH")
+        p.add_argument("--out", metavar="PATH")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        report = COMMANDS[args.command](args)
+        if command.kernels and len(args.kernel) != command.kernels:
+            raise ValidationError(
+                f"{args.command} takes {command.kernels} --kernel file(s), got {len(args.kernel)}"
+            )
+        report = command.run(args)
         render_csv(report, args.out)
     except UrnovaError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)

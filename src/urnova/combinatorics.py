@@ -57,18 +57,6 @@ def permutation_count(ms) -> int:
     return out
 
 
-def counts(ms) -> Counter:
-    return Counter(ms)
-
-
-def merge(*parts):
-    """Union of label tuples as one unsorted tuple (canonicalize separately)."""
-    out = []
-    for p in parts:
-        out.extend(p)
-    return tuple(out)
-
-
 def index_subsets(n: int, k: int):
     """All increasing k-tuples of positions from range(n)."""
     return itertools.combinations(range(n), k)

@@ -55,11 +55,6 @@ class HoeffdingDecomposition:
             )
         return total
 
-    def level_projection(self, s: int) -> SymmetricKernel:
-        """The level-s summand as a horizon-arity statistic (U-statistic of
-        the extracted kernel); an independent route to project_level."""
-        return ustatistic(self.kernels[s - 1], self.horizon)
-
 
 def _centered_or_raise(model, statistic):
     if expectation(model, statistic) != 0:

@@ -41,10 +41,6 @@ class ExhaustedUrn(ValidationError):
     """A replacement factor or denominator can reach a negative value."""
 
 
-class ExtendibilityViolated(ValidationError):
-    pass
-
-
 class UnknownSymbol(ValidationError):
     pass
 

@@ -26,7 +26,6 @@ from .combinatorics import binomial, multisets, permutation_count
 from .errors import (
     EmptyMeasure,
     ExhaustedUrn,
-    ExtendibilityViolated,
     LengthExceeded,
     NonNumericAlphabet,
     UnknownSymbol,
@@ -354,13 +353,4 @@ def check_horizon(model, needed: int):
     if model.length is not None and needed > model.length:
         raise LengthExceeded(
             f"needs {needed} coordinates, model allows {model.length}"
-        )
-
-
-def require_double_extendible(model: UrnModel):
-    """Gate for results that are only guaranteed on doubly extendible laws."""
-    if not model.is_double_extendible:
-        raise ExtendibilityViolated(
-            "alpha_total + 2*c*length < 0: the law does not extend to twice "
-            "its horizon, so uniqueness and norm bounds are not guaranteed"
         )

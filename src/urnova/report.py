@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .errors import IoError
@@ -29,7 +30,16 @@ def format_rational(x: Fraction) -> str:
 
 
 def format_decimal(x: Fraction) -> str:
-    return f"{float(x):.12g}"
+    try:
+        value = float(x)
+        if value or not x:
+            return f"{value:.12g}"
+    except OverflowError:
+        pass
+    # outside the float range: round the exact quotient to 12 digits instead
+    with localcontext() as ctx:
+        ctx.prec = 12
+        return f"{(Decimal(x.numerator) / x.denominator).normalize():.12g}"
 
 
 @dataclass

@@ -6,7 +6,7 @@ import pytest
 from urnova import expectation, from_table, ustatistic
 from urnova.cli import kernel_to_json, main, parse_kernel_file, parse_model_file
 from urnova.errors import ExhaustedUrn, ParseError
-from urnova.report import Report, render_csv
+from urnova.report import Report, format_decimal, render_csv
 
 
 def write_json(path, doc):
@@ -79,6 +79,18 @@ class TestReports:
         lines = out.read_text().splitlines()
         assert lines[1] == "value,value_decimal"
         assert lines[2] == "1/3,0.333333333333"
+
+    @pytest.mark.parametrize("value, text", [
+        (F(10**400, 3), "3.33333333333e+399"),
+        (F(-10**400, 3), "-3.33333333333e+399"),
+        (F(1, 10**400), "1e-400"),
+        (F(-1, 7 * 10**400), "-1.42857142857e-401"),
+        (F(10**20), "1e+20"),
+        (F(1, 3), "0.333333333333"),
+        (F(0), "0"),
+    ])
+    def test_decimal_beyond_float_range(self, value, text):
+        assert format_decimal(value) == text
 
     def test_empty_report_is_header_only(self, tmp_path):
         rep = Report({"tool_version": "t"}, ["a", "b"])
@@ -203,3 +215,73 @@ class TestCommands:
         assert main(["weak-copy", "--model", model, "--kernel", kpath,
                      "--level", "1", "--eta", "1/2", "--out", out]) == 0
         assert "passed=True" in open(out).read()
+
+
+def meta_hash(path):
+    meta = open(path).readline().strip().split(",")
+    return next(f for f in meta if f.startswith("param_hash="))
+
+
+class TestParamHash:
+    def run(self, tmp_path, *argv):
+        out = str(tmp_path / "h.csv")
+        assert main([*argv, "--out", out]) == 0
+        return meta_hash(out)
+
+    def test_same_content_at_two_paths(self, tmp_path):
+        (tmp_path / "elsewhere").mkdir()
+        first = write_json(tmp_path / "m.json", polya_doc())
+        second = tmp_path / "elsewhere" / "copy.json"
+        second.write_text(json.dumps(polya_doc(), indent=4))
+        assert (self.run(tmp_path, "pmf", "--model", first, "--M", "2")
+                == self.run(tmp_path, "pmf", "--model", str(second), "--M", "2"))
+
+    def test_different_models_at_one_path(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_json(path, polya_doc())
+        polya = self.run(tmp_path, "pmf", "--model", str(path), "--M", "2")
+        iid = dict(polya_doc(), c="0")
+        write_json(path, iid)
+        assert self.run(tmp_path, "pmf", "--model", str(path), "--M", "2") != polya
+
+    def test_own_flags_are_hashed(self, tmp_path):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        assert (self.run(tmp_path, "pmf", "--model", model, "--M", "2")
+                != self.run(tmp_path, "pmf", "--model", model, "--M", "3"))
+
+    def test_builtin_matches_explicit_table(self, tmp_path):
+        model_path = write_json(tmp_path / "m.json", polya_doc())
+        model = parse_model_file(model_path)
+        builtin = write_json(tmp_path / "max.json", {"builtin": "max"})
+        table = write_json(tmp_path / "t.json", kernel_to_json(
+            from_table(model.alphabet, 2, {("a", "a"): 0, ("a", "b"): 1, ("b", "b"): 1})))
+        argv = ("decompose", "--model", model_path, "--M", "2", "--kernel")
+        assert self.run(tmp_path, *argv, builtin) == self.run(tmp_path, *argv, table)
+
+
+class TestFlagErrors:
+    @pytest.mark.parametrize("argv, flag", [
+        (["validate", "--model", "MODEL", "--M", "3"], "--M"),
+        (["counterexample", "--epsilon", "1/2", "--level", "7"], "--level"),
+        (["validate", "--model", "MODEL", "--format", "csv"], "--format"),
+        (["validate"], "--model"),
+        (["coeffs", "--model", "MODEL"], "--M"),
+        (["sample", "--model", "MODEL", "--count", "3"], "--seed"),
+        (["check-wi", "--model", "MODEL", "--level", "-1"], "--level"),
+        (["decompose", "--model", "MODEL", "--kernel", "MODEL", "--M", "0"], "--M"),
+        (["decompose", "--model", "MODEL", "--M", "2"], "--kernel"),
+        (["counterexample", "--epsilon", "1/0"], "--epsilon"),
+    ])
+    def test_exit_2_names_the_flag(self, tmp_path, capsys, argv, flag):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        with pytest.raises(SystemExit) as exc:
+            main([model if a == "MODEL" else a for a in argv])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_second_kernel_rejected(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        kernel = write_json(tmp_path / "k.json", {"builtin": "max"})
+        assert main(["decompose", "--model", model, "--M", "2",
+                     "--kernel", kernel, "--kernel", kernel]) == 3
+        assert "--kernel" in capsys.readouterr().err
