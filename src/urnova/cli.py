@@ -25,7 +25,7 @@ from .decomposition import (
     wor_level_variance_printed,
 )
 from .errors import IoError, ParseError, UrnovaError, ValidationError
-from .kernels import SymmetricKernel, builtin_kernel, expectation, from_table
+from .kernels import BUILTIN_KERNELS, SymmetricKernel, builtin_kernel, expectation, from_table
 from .models import (
     MixtureModel,
     RNG_ALGORITHM,
@@ -74,6 +74,12 @@ def parse_model_file(path):
     for key in ("symbols", "alpha", "c", "length"):
         if key not in doc:
             raise ParseError(f"{path}: missing field {key!r}")
+    if not isinstance(doc["symbols"], list):
+        raise ParseError(f"{path}: symbols must be a list, not {doc['symbols']!r}")
+    if not isinstance(doc["alpha"], dict):
+        raise ParseError(f"{path}: alpha must map labels to weights, not {doc['alpha']!r}")
+    if type(doc["length"]) is not int:  # bool is a subclass of int
+        raise ParseError(f"{path}: length must be an integer, not {doc['length']!r}")
     symbols = []
     for i, entry in enumerate(doc["symbols"]):
         if not isinstance(entry, dict) or "label" not in entry:
@@ -83,8 +89,6 @@ def parse_model_file(path):
             symbols.append((label, _rational(entry["value"], f"{path}: symbols[{i}].value")))
         else:
             symbols.append(label)
-    if not isinstance(doc["length"], int):
-        raise ParseError(f"{path}: length must be an integer")
     alpha = {
         label: _rational(v, f"{path}: alpha[{label!r}]")
         for label, v in doc["alpha"].items()
@@ -101,6 +105,10 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
         raise ParseError(f"{path}: kernel document must be an object")
     if "builtin" in doc:
         name = doc["builtin"]
+        if name not in BUILTIN_KERNELS:
+            raise ParseError(
+                f"{path}: builtin must be one of {', '.join(BUILTIN_KERNELS)}, not {name!r}"
+            )
         size = doc.get("arity", arity)
         if size is None:
             raise ParseError(f"{path}: builtin kernel needs an arity (or pass --M)")
@@ -374,8 +382,11 @@ def cmd_ustat_bound(args):
         ["N", "n", "i", "constant"],
         rational_columns=("constant",),
     )
+    if (args.n is None) != (args.level is None):
+        given, missing = ("--n", "--level") if args.level is None else ("--level", "--n")
+        raise ParseError(f"lemma3: {given} needs {missing}")
     pairs = []
-    if args.n and args.level:
+    if args.n:
         pairs = [(args.n, args.level)]
     else:
         for n in range(1, args.N):

@@ -141,6 +141,9 @@ def symmetrize(alphabet: Alphabet, arity: int, fn) -> SymmetricKernel:
     return SymmetricKernel(arity, alphabet, tuple(entries))
 
 
+BUILTIN_KERNELS = ("max", "min", "mean", "indicator")
+
+
 def builtin_kernel(alphabet: Alphabet, arity: int, name: str, target=None) -> SymmetricKernel:
     """Named kernels: max, min, mean (numeric alphabets) and indicator."""
     if name == "indicator":

@@ -132,7 +132,7 @@ class UrnModel:
     length: int
 
     def __post_init__(self):
-        if not isinstance(self.length, int) or self.length < 1:
+        if type(self.length) is not int or self.length < 1:  # bool is an int subclass
             raise ValidationError("length must be a positive integer")
         seen = {label for label, _ in self.alpha}
         if seen != set(self.alphabet.labels):

@@ -72,21 +72,37 @@ class TiltedModel:
     def certified_density_bound(self) -> Fraction:
         return self.scale * self.coefficient_bound
 
+    @cached_property
+    def _moment_table(self):
+        """Rising factorials (alpha_a/c)^(k) per label and (alpha/c)^(k), for
+        every order k a moment of :meth:`marginal_pmf` can reach, and the
+        tilt's nonzero terms as (label counts, permutation count * value)."""
+        base = self.base
+        if base.c <= 0:
+            raise RequiresPositiveC("directing-measure moments need c > 0")
+        orders = range(base.length + self.tilt.arity + 1)
+        per_label = {label: [_rising(w / base.c, k) for k in orders] for label, w in base.alpha}
+        total = [_rising(base.alpha_total / base.c, k) for k in orders]
+        terms = tuple(
+            (Counter(ms), permutation_count(ms) * v)
+            for ms, v in self.tilt.entries if v != 0
+        )
+        return per_label, total, terms
+
     def marginal_pmf(self, seq) -> Fraction:
-        """Exact probability of an ordered sequence under the tilted law."""
+        """Exact probability of an ordered sequence under the tilted law;
+        each moment term equals ``dirichlet_moment(base, seq + ms)``."""
         seq = tuple(seq)
         if len(seq) > self.base.length:
             raise LengthExceeded("sequence longer than the base horizon")
         correction = Fraction(0)
         if self.scale != 0:
-            for ms, v in self.tilt.entries:
-                if v == 0:
-                    continue
-                correction += (
-                    permutation_count(ms)
-                    * v
-                    * dirichlet_moment(self.base, tuple(seq) + ms)
-                )
+            per_label, total, terms = self._moment_table
+            counts = Counter(self.base.alphabet.canon(seq))
+            for ms_counts, coef in terms:
+                num = prod(per_label[label][k] for label, k in (counts + ms_counts).items())
+                correction += coef * num
+            correction /= total[len(seq) + self.tilt.arity]
         return self.base.joint_pmf(seq) + self.scale * correction
 
 

@@ -5,15 +5,22 @@ orthogonal degenerate layers.
 
 The decision at level n: compute a basis of the kernels killed by one-step
 prediction, then evaluate every admissible partial-overlap conditional of
-every basis kernel and collect nonzero witnesses.
+every basis kernel and collect nonzero witnesses.  Each conditional is
+linear in the kernel, so the sweep builds it once per (overlap, observed
+multiset) as a functional and applies that to the whole basis;
+``conditional.symmetrized_offdiagonal`` is the enumeration oracle it is
+tested against.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conditional import cond_expectation, symmetrized_offdiagonal
+from .combinatorics import binomial
+from .conditional import cond_expectation
 from .errors import HorizonTooShort, ValidationError
 from .kernels import SymmetricKernel, from_table
 from .linalg import nullspace
@@ -72,6 +79,37 @@ class DegeneracyReport:
         return not self.violations
 
 
+def offdiagonal_functional(model, observed, overlap: int) -> dict:
+    """The overlap-r symmetrized conditional at one observed (n-1)-multiset,
+    as a linear functional {size-n multiset: weight} on arity-n kernels.
+
+    Every block assignment of the observed values conditions on the same
+    multiset, so one extension law serves all binomial(n-1, r) picks; picks
+    with equal shared values are merged with their multiplicity.
+    """
+    alphabet = model.alphabet
+    n = len(observed) + 1
+    law = model.extension_law(observed, n - overlap)
+    norm = Fraction(1, binomial(n - 1, overlap))
+    functional = {}
+    for common, mult in Counter(itertools.combinations(observed, overlap)).items():
+        for ext, weight in law.items():
+            if weight == 0:
+                continue
+            key = alphabet.canon(common + ext)
+            functional[key] = functional.get(key, 0) + mult * norm * weight
+    return functional
+
+
+def apply_functional(functional: dict, kernel: SymmetricKernel) -> Fraction:
+    """Value of a functional on a kernel: sum of weight * kernel value."""
+    table = kernel.table
+    return sum(
+        (weight * table[key] for key, weight in functional.items() if table[key]),
+        Fraction(0),
+    )
+
+
 def check_weak_independence(model, n: int) -> DegeneracyReport:
     """Evaluate every admissible partial-overlap symmetrized conditional of
     every degenerate basis kernel.  Exact zeros everywhere mean the model
@@ -79,16 +117,17 @@ def check_weak_independence(model, n: int) -> DegeneracyReport:
     coordinates beyond the horizon are reported as unchecked, never skipped
     silently."""
     basis = degenerate_basis(model, n)
+    support = list(model.support_multisets(n - 1))
     violations = []
     unchecked = []
     for r in range(n):
         if model.length is not None and 2 * n - r - 1 > model.length:
             unchecked.append(r)
             continue
+        functionals = [(ms, offdiagonal_functional(model, ms, r)) for ms in support]
         for b, kernel in enumerate(basis):
-            tilde = symmetrized_offdiagonal(model, kernel, r)
-            for ms in model.support_multisets(n - 1):
-                value = tilde.value(ms)
+            for ms, functional in functionals:
+                value = apply_functional(functional, kernel)
                 if value != 0:
                     violations.append(Violation(b, r, ms, value))
     return DegeneracyReport(n, tuple(basis), tuple(violations), tuple(unchecked))

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from urnova import expectation, from_table, ustatistic
+from urnova import Alphabet, Symbol, UrnModel, expectation, from_table, ustatistic
 from urnova.cli import kernel_to_json, main, parse_kernel_file, parse_model_file
-from urnova.errors import ExhaustedUrn, ParseError
+from urnova.errors import ExhaustedUrn, ParseError, ValidationError
 from urnova.report import Report, format_decimal, render_csv
 
 
@@ -285,3 +285,50 @@ class TestFlagErrors:
         assert main(["decompose", "--model", model, "--M", "2",
                      "--kernel", kernel, "--kernel", kernel]) == 3
         assert "--kernel" in capsys.readouterr().err
+
+
+class TestMalformedDocuments:
+    def run_model(self, tmp_path, capsys, doc):
+        path = write_json(tmp_path / "m.json", doc)
+        code = main(["validate", "--model", path])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", ["1", "1"]),
+        ("symbols", {"label": "a"}),
+        ("length", True),
+        ("length", "8"),
+    ])
+    def test_model_field_exits_2(self, tmp_path, capsys, field, value):
+        doc = dict(polya_doc(), **{field: value})
+        code, err = self.run_model(tmp_path, capsys, doc)
+        assert code == 2
+        assert "m.json" in err and field in err and repr(value) in err
+
+    def test_unknown_builtin_exits_2(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        kernel = write_json(tmp_path / "k.json", {"builtin": "median"})
+        assert main(["decompose", "--model", model, "--kernel", kernel, "--M", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "k.json" in err and "builtin" in err and "'median'" in err
+
+    def test_boolean_length_rejected_by_the_model(self):
+        alphabet = Alphabet((Symbol("a"),))
+        with pytest.raises(ValidationError):
+            UrnModel(alphabet, (("a", F(1)),), F(1), True)
+
+
+class TestLemma3Flags:
+    @pytest.mark.parametrize("argv, missing", [
+        (["--n", "2"], "--level"),
+        (["--level", "1"], "--n"),
+    ])
+    def test_one_of_the_pair_exits_2(self, tmp_path, capsys, argv, missing):
+        assert main(["lemma3", "--N", "4", *argv, "--out", str(tmp_path / "l.csv")]) == 2
+        assert missing in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, rows", [([], 6), (["--n", "2", "--level", "1"], 1)])
+    def test_both_or_neither(self, tmp_path, argv, rows):
+        out = tmp_path / "l.csv"
+        assert main(["lemma3", "--N", "4", *argv, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2 + rows

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from urnova import (
     build_weak_copy,
@@ -13,7 +15,12 @@ from urnova import (
     verify_weak_copy,
 )
 from urnova.combinatorics import permutation_count
-from urnova.errors import RequiresPositiveC, ValidationError, ZeroProjection
+from urnova.errors import (
+    RequiresPositiveC,
+    UnknownSymbol,
+    ValidationError,
+    ZeroProjection,
+)
 from urnova.weak_copy import TiltedModel
 from helpers import random_kernel
 
@@ -119,6 +126,54 @@ class TestMarginals:
                         F(0),
                     )
                     assert total == 0
+
+
+def moment_oracle(tilted, seq):
+    """The tilted pmf summed term by term from dirichlet_moment."""
+    base = tilted.base
+    correction = sum(
+        (permutation_count(ms) * v * dirichlet_moment(base, tuple(seq) + ms)
+         for ms, v in tilted.tilt.entries),
+        F(0),
+    )
+    return base.joint_pmf(seq) + tilted.scale * correction
+
+
+class TestMomentTable:
+    @given(seed=st.integers(0, 2**16), level=st.integers(1, 2), size=st.integers(2, 3),
+           c=st.sampled_from([F(1), F(1, 3), F(5, 2)]), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_marginal_pmf_matches_dirichlet_moments(self, seed, level, size, c, data):
+        rng = random.Random(seed)
+        labels = ["a", "b", "c"][:size]
+        base = urn_model(labels, {l: F(rng.randint(1, 4), rng.randint(1, 3)) for l in labels},
+                         c, level + 2)
+        try:
+            tilted = build_weak_copy(base, level, random_kernel(rng, base.alphabet, level + 1),
+                                     F(1, 2))
+        except ZeroProjection:
+            assume(False)
+        sequences = data.draw(st.lists(
+            st.lists(st.sampled_from(labels), max_size=base.length), min_size=1, max_size=8))
+        for seq in sequences:
+            assert tilted.marginal_pmf(seq) == moment_oracle(tilted, seq)
+
+    def test_unknown_symbol(self):
+        base = polya01()
+        tilted = build_weak_copy(base, 1, indicator_kernel(base.alphabet, ("1", "1")),
+                                 F(1, 2))
+        with pytest.raises(UnknownSymbol):
+            tilted.marginal_pmf(("0", "z"))
+
+    def test_nonpositive_c_needs_zero_scale(self):
+        built = build_weak_copy(polya01(), 1,
+                                indicator_kernel(polya01().alphabet, ("1", "1")), F(1, 2))
+        iid = urn_model(["0", "1"], {"0": 1, "1": 1}, 0, 8)
+        frozen = TiltedModel(iid, 1, built.tilt, F(0), built.eta)
+        assert frozen.marginal_pmf(("0", "1")) == iid.joint_pmf(("0", "1"))
+        tilted = TiltedModel(iid, 1, built.tilt, built.scale, built.eta)
+        with pytest.raises(RequiresPositiveC):
+            tilted.marginal_pmf(("0",))
 
 
 class TestVerify:

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from urnova import (
     MixtureModel,
@@ -11,6 +13,7 @@ from urnova import (
     decompose,
     degenerate_basis,
     expectation,
+    symmetrized_offdiagonal,
     urn_model,
     witness_conditional_closed_form,
     witness_kernel,
@@ -18,6 +21,7 @@ from urnova import (
 )
 from urnova.errors import HorizonTooShort, ValidationError
 from urnova.linalg import rref
+from urnova.weak_independence import Violation, apply_functional, offdiagonal_functional
 from helpers import model_grid, random_kernel
 
 
@@ -95,6 +99,54 @@ class TestCheckWeakIndependence:
         # overlap 0 needs 3 coordinates; only overlap 1 is checkable
         assert report.unchecked_overlaps == (0,)
         assert report.passed
+
+
+@st.composite
+def models_and_levels(draw):
+    """A model from one replacement regime (small alphabet) and a level 1..3
+    within its horizon."""
+    n = draw(st.integers(1, 3))
+    regime = draw(st.sampled_from(["polya", "iid", "wor", "frac", "mixture", "mixture-1"]))
+    if regime == "mixture":
+        return MixtureModel(F(draw(st.integers(1, 9)), 10)), n
+    if regime == "mixture-1":
+        return MixtureModel(F(1)), n
+    labels = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(labels), max_size=len(labels)))
+    c = {"polya": F(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+         "iid": F(0), "wor": F(-1), "frac": F(-1, 2)}[regime]
+    den = 2 if regime in ("polya", "frac") else 1
+    alpha = {l: F(w, den) for l, w in zip(labels, weights)}
+    length = n + draw(st.integers(0, 2))
+    if c < 0:
+        # the predictive denominator must stay positive across the horizon
+        assume(sum(alpha.values()) + c * (length - 1) > 0)
+    return urn_model(labels, alpha, c, length), n
+
+
+class TestBatchedSweep:
+    @given(case=models_and_levels(), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_functionals_match_the_enumeration_oracle(self, case, seed):
+        model, n = case
+        basis = degenerate_basis(model, n)
+        # a random kernel too: on passing models every basis value is 0
+        kernels = basis + [random_kernel(random.Random(seed), model.alphabet, n)]
+        support = list(model.support_multisets(n - 1))
+        expected = []
+        for r in range(n):
+            if model.length is not None and 2 * n - r - 1 > model.length:
+                continue
+            functionals = [offdiagonal_functional(model, ms, r) for ms in support]
+            for b, kernel in enumerate(kernels):
+                tilde = symmetrized_offdiagonal(model, kernel, r)
+                for ms, functional in zip(support, functionals):
+                    value = tilde.value(ms)
+                    assert apply_functional(functional, kernel) == value
+                    if b < len(basis) and value != 0:
+                        expected.append(Violation(b, r, ms, value))
+        # same violations, in the same (overlap, basis index, multiset) order
+        assert check_weak_independence(model, n).violations == tuple(expected)
 
 
 class TestWitnessKernel:
