@@ -8,7 +8,6 @@ Exit codes by error category: 0 success, 2 parse, 3 validation, 4 horizon,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -109,7 +108,7 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
             raise ParseError(
                 f"{path}: builtin must be one of {', '.join(BUILTIN_KERNELS)}, not {name!r}"
             )
-        size = doc.get("arity", arity)
+        size = _arity(doc, path) if "arity" in doc else arity
         if size is None:
             raise ParseError(f"{path}: builtin kernel needs an arity (or pass --M)")
         target = None
@@ -125,7 +124,14 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
             raise ParseError(f"{path}: entries[{i}] needs multiset and value")
         labels = _expand_multiset(entry["multiset"], path)
         entries.append((labels, _rational(entry["value"], f"{path}: entries[{i}].value")))
-    return from_table(model.alphabet, doc["arity"], entries)
+    return from_table(model.alphabet, _arity(doc, path), entries)
+
+
+def _arity(doc, path) -> int:
+    value = doc["arity"]
+    if type(value) is not int or value < 1:  # bool is a subclass of int
+        raise ParseError(f"{path}: arity must be a positive integer, not {value!r}")
+    return value
 
 
 def _expand_multiset(doc, path) -> tuple:
@@ -352,12 +358,9 @@ def cmd_weak_copy(args):
         ["length", "sequence", "base_pmf", "tilted_pmf", "difference"],
         rational_columns=("base_pmf", "tilted_pmf", "difference"),
     )
-    for length in range(result.checked_length + 1):
-        for seq in itertools.product(model.alphabet.labels, repeat=length):
-            base_p = model.joint_pmf(seq)
-            tilt_p = tilted.marginal_pmf(seq)
-            rep.add(length=length, sequence=" ".join(seq), base_pmf=base_p,
-                    tilted_pmf=tilt_p, difference=tilt_p - base_p)
+    for seq, base_p, tilt_p in result.marginals:
+        rep.add(length=len(seq), sequence=" ".join(seq), base_pmf=base_p,
+                tilted_pmf=tilt_p, difference=tilt_p - base_p)
     return rep
 
 

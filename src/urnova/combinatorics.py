@@ -62,6 +62,30 @@ def index_subsets(n: int, k: int):
     return itertools.combinations(range(n), k)
 
 
+def sub_multisets(ms, k: int) -> list:
+    """Each distinct size-k sub-multiset of a canonical multiset, with the
+    number of k-subsets of positions that select it: prod_a binomial(n_a, k_a).
+    Sub-multisets come out canonical too."""
+    picks = [((), 1)]
+    room = len(ms)  # positions after the current run of equal labels
+    for label, run in itertools.groupby(ms):
+        n = len(tuple(run))
+        room -= n
+        picks = [
+            (sub + (label,) * j, mult * comb(n, j))
+            for sub, mult in picks
+            for j in range(max(0, k - len(sub) - room), min(n, k - len(sub)) + 1)
+        ]
+    return picks if 0 <= k <= len(ms) else []
+
+
+def sub_multiset_sum(table, ms, k: int) -> Fraction:
+    """Sum of table[sub] over every k-subset of the positions of ms, one
+    lookup per distinct sub-multiset (the plain index_subsets sum adds
+    binomial(len(ms), k) terms)."""
+    return sum((mult * table[sub] for sub, mult in sub_multisets(ms, k)), Fraction(0))
+
+
 def elementary_symmetric(top: int, k: int) -> int:
     """e_k(1, 2, ..., top); e_0 = 1, zero when k > top."""
     if k < 0 or k > max(top, 0):

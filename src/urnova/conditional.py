@@ -2,9 +2,10 @@
 
 Two routes are provided and tested against each other.  The oracle route
 conditions by enumerating the posterior law of the unobserved coordinates.
-The expansion routes rewrite the same conditionals as rational-coefficient
-combinations of the statistic's diagonal conditionals, which is where all
-the structure of the decomposition lives.
+The production route builds the statistic's diagonal conditionals by the
+tower property, one predictive step per level, and the expansions rewrite
+every other conditional as a rational-coefficient combination of them,
+which is where all the structure of the decomposition lives.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .coefficients import phi_coeff, psi_coeff
 from .combinatorics import binomial, prod
@@ -64,18 +64,34 @@ class DiagonalFamily:
         return self.levels[0][()]
 
 
-@lru_cache(maxsize=None)
 def diagonal_family(model, statistic: SymmetricKernel) -> DiagonalFamily:
-    """Tabulate all diagonal conditionals of a statistic; cached per
-    (model, statistic) pair."""
-    check_horizon(model, statistic.arity)
-    levels = []
-    for q in range(statistic.arity + 1):
-        table = {}
-        for ms in model.support_multisets(q):
-            table[ms] = cond_expectation(model, statistic, ms)
-        levels.append(table)
-    return DiagonalFamily(model, statistic, tuple(levels))
+    """Tabulate all diagonal conditionals of a statistic; cached on the
+    model, keyed by the statistic.
+
+    The top level is the statistic on its support.  Each level below comes
+    from the one above by the tower property,
+    E[T | x] = sum_a P(a | x) * E[T | x + a], over the letters of positive
+    predictive mass (x + a is then in the support too).
+    """
+    families = model.diagonal_families
+    fam = families.get(statistic)
+    if fam is None:
+        check_horizon(model, statistic.arity)
+        canon = model.alphabet.canon
+        above = {ms: statistic.value(ms) for ms in model.support_multisets(statistic.arity)}
+        levels = [above]
+        for q in range(statistic.arity - 1, -1, -1):
+            table = {}
+            for ms in model.support_multisets(q):
+                total = Fraction(0)
+                for label, p in model.predictive(ms).items():
+                    if p:
+                        total += p * above[canon(ms + (label,))]
+                table[ms] = total
+            levels.append(table)
+            above = table
+        fam = families[statistic] = DiagonalFamily(model, statistic, tuple(reversed(levels)))
+    return fam
 
 
 def expand_conditional(model, statistic: SymmetricKernel, common, extra) -> Fraction:

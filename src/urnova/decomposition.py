@@ -18,8 +18,8 @@ from .coefficients import (
     pair_covariance_factor,
     theta_table,
 )
-from .combinatorics import binomial, index_subsets
-from .conditional import cond_expectation, diagonal_family
+from .combinatorics import binomial, sub_multiset_sum
+from .conditional import diagonal_family
 from .errors import (
     ArityMismatch,
     DegeneracyViolated,
@@ -48,17 +48,16 @@ class HoeffdingDecomposition:
             raise ArityMismatch(f"need {self.horizon} labels")
         total = self.mean
         for s, kernel in enumerate(self.kernels, start=1):
-            total += sum(
-                (kernel.value(tuple(x[i] for i in pick))
-                 for pick in index_subsets(self.horizon, s)),
-                Fraction(0),
-            )
+            total += sub_multiset_sum(kernel.table, x, s)
         return total
 
 
-def _centered_or_raise(model, statistic):
-    if expectation(model, statistic) != 0:
+def _centered_family(model, statistic):
+    """The statistic's diagonal family; its mean must already be zero."""
+    fam = diagonal_family(model, statistic)
+    if fam.mean != 0:
         raise ValidationError("statistic must be centered (subtract its mean)")
+    return fam
 
 
 def project_level(model, statistic: SymmetricKernel, horizon: int, s: int) -> SymmetricKernel:
@@ -69,9 +68,8 @@ def project_level(model, statistic: SymmetricKernel, horizon: int, s: int) -> Sy
     if not (1 <= s <= horizon):
         raise IndexOutOfRange(f"level {s} outside 1..{horizon}")
     check_horizon(model, horizon)
-    _centered_or_raise(model, statistic)
+    fam = _centered_family(model, statistic)
     table = theta_table(horizon, model.alpha_total, model.c)
-    fam = diagonal_family(model, statistic)
     support = set(model.support_multisets(horizon))
     entries = []
     for ms in model.alphabet.multisets(horizon):
@@ -83,11 +81,7 @@ def project_level(model, statistic: SymmetricKernel, horizon: int, s: int) -> Sy
             coef = table.theta[(s, a)]
             if coef == 0:
                 continue
-            value += coef * sum(
-                (fam.value(tuple(ms[i] for i in pick))
-                 for pick in index_subsets(horizon, a)),
-                Fraction(0),
-            )
+            value += coef * sub_multiset_sum(fam.levels[a], ms, a)
         entries.append((ms, value))
     return SymmetricKernel(horizon, model.alphabet, tuple(entries))
 
@@ -101,9 +95,8 @@ def extract_kernel(model, statistic: SymmetricKernel, horizon: int, s: int) -> S
     if not (1 <= s <= horizon):
         raise IndexOutOfRange(f"level {s} outside 1..{horizon}")
     check_horizon(model, horizon)
-    _centered_or_raise(model, statistic)
+    fam = _centered_family(model, statistic)
     table = theta_table(horizon, model.alpha_total, model.c)
-    fam = diagonal_family(model, statistic)
     support = set(model.support_multisets(s))
     entries = []
     for ms in model.alphabet.multisets(s):
@@ -115,11 +108,7 @@ def extract_kernel(model, statistic: SymmetricKernel, horizon: int, s: int) -> S
             coef = table.theta_star[(s, a)]
             if coef == 0:
                 continue
-            value += coef * sum(
-                (fam.value(tuple(ms[i] for i in pick))
-                 for pick in index_subsets(s, a)),
-                Fraction(0),
-            )
+            value += coef * sub_multiset_sum(fam.levels[a], ms, a)
         entries.append((ms, value))
     return SymmetricKernel(s, model.alphabet, tuple(entries))
 
@@ -139,11 +128,8 @@ def decompose(model, statistic: SymmetricKernel, horizon: int) -> HoeffdingDecom
 
 def is_degenerate(model, kernel: SymmetricKernel) -> bool:
     """True when conditioning on all but one of the kernel's coordinates
-    kills it on the model's support."""
-    for ms in model.support_multisets(kernel.arity - 1):
-        if cond_expectation(model, kernel, ms) != 0:
-            return False
-    return True
+    kills it on the model's support (level arity - 1 of its family)."""
+    return not any(diagonal_family(model, kernel).levels[kernel.arity - 1].values())
 
 
 def project_degenerate_ustat(model, kernel: SymmetricKernel, horizon: int) -> SymmetricKernel:
@@ -162,12 +148,7 @@ def project_degenerate_ustat(model, kernel: SymmetricKernel, horizon: int) -> Sy
         if ms not in support:
             entries.append((ms, Fraction(0)))
             continue
-        value = g * sum(
-            (fam.value(tuple(ms[i] for i in pick))
-             for pick in index_subsets(horizon, n)),
-            Fraction(0),
-        )
-        entries.append((ms, value))
+        entries.append((ms, g * sub_multiset_sum(fam.levels[n], ms, n)))
     return SymmetricKernel(horizon, model.alphabet, tuple(entries))
 
 
@@ -191,8 +172,8 @@ def covariance_levels(model, left: SymmetricKernel, right: SymmetricKernel,
     """Per-level contributions to E[left*right] for centered statistics,
     plus their total.  Each level term is the level weight times the product
     moment of the two extracted kernels on one block."""
-    _centered_or_raise(model, left)
-    _centered_or_raise(model, right)
+    _centered_family(model, left)
+    _centered_family(model, right)
     dl = decompose(model, left, horizon)
     dr = decompose(model, right, horizon)
     levels = []

@@ -17,9 +17,9 @@ from math import factorial
 from .combinatorics import (
     binomial,
     elementary_symmetric,
-    index_subsets,
     permutation_count,
     prod,
+    sub_multiset_sum,
 )
 from .errors import (
     ArityMismatch,
@@ -177,19 +177,14 @@ def ustatistic(kernel: SymmetricKernel, size: int) -> SymmetricKernel:
     """Arity-`size` statistic summing the kernel over all index subsets."""
     if size < kernel.arity:
         raise ArityMismatch("u-statistic size below kernel arity")
-    entries = []
-    for ms in kernel.alphabet.multisets(size):
-        total = sum(
-            (kernel.value(tuple(ms[i] for i in pick))
-             for pick in index_subsets(size, kernel.arity)),
-            Fraction(0),
-        )
-        entries.append((ms, total))
-    return SymmetricKernel(size, kernel.alphabet, tuple(entries))
+    return SymmetricKernel(size, kernel.alphabet, tuple(
+        (ms, sub_multiset_sum(kernel.table, ms, kernel.arity))
+        for ms in kernel.alphabet.multisets(size)
+    ))
 
 
 def expectation(model, kernel: SymmetricKernel) -> Fraction:
-    """E[T] by multiset enumeration; exact."""
+    """E[T] by multiset enumeration against the model's size law; exact."""
     check_horizon(model, kernel.arity)
     total = Fraction(0)
     for ms, value in kernel.entries:

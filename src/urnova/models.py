@@ -10,7 +10,9 @@ Two families are provided:
   success rate Y drawn uniformly from (0, epsilon).
 
 All probabilities are ``fractions.Fraction``; floats never enter the law.
-Models are immutable and hashable, so downstream caches can key on them.
+Models are immutable and hashable.  Each instance carries its own lazily
+filled caches (size laws, diagonal families, sampling laws); they live in
+the instance dictionary and take no part in equality or hashing.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .combinatorics import binomial, multisets, permutation_count
@@ -106,20 +109,52 @@ def _draw_from_cumulative(cumulative, u: int) -> str:
     return cumulative[-1][0]
 
 
-@lru_cache(maxsize=None)
-def _cumulative_law(model, observed: tuple):
-    cum = Fraction(0)
-    out = []
-    for label, p in model.predictive(observed).items():
-        if p == 0:
-            continue
-        cum += p
-        out.append((label, cum.numerator << 64, cum.denominator))
-    return tuple(out)
+def _rising(x: int, step: int, n: int) -> list:
+    """Partial products [1, x, x(x+step), ...] up to n factors."""
+    out = [1]
+    for j in range(n):
+        out.append(out[-1] * (x + j * step))
+    return out
+
+
+class _Law:
+    """Caches shared by both model families.
+
+    ``size_law(n)`` is the law of the multiset of the first n draws,
+    computed once per size; ``diagonal_families`` holds the diagonal
+    families built by :func:`urnova.conditional.diagonal_family`, keyed by
+    statistic.  Returned tables are shared: read them, never mutate them.
+    """
+
+    @cached_property
+    def _size_laws(self) -> dict:
+        return {}
+
+    @cached_property
+    def diagonal_families(self) -> dict:
+        return {}
+
+    def size_law(self, size: int) -> dict:
+        """{multiset: probability} over every multiset of `size` labels, in
+        canonical order, zero weights included."""
+        law = self._size_laws.get(size)
+        if law is None:
+            check_horizon(self, size)
+            law = self._size_laws[size] = self._build_size_law(size)
+        return law
+
+    def multiset_weight(self, ms) -> Fraction:
+        """Probability of an unordered outcome: ordered pmf times the number
+        of distinct orderings."""
+        ms = self.alphabet.canon(ms)
+        return self.size_law(len(ms))[ms]
+
+    def support_multisets(self, size: int):
+        return (ms for ms, w in self.size_law(size).items() if w)
 
 
 @dataclass(frozen=True)
-class UrnModel:
+class UrnModel(_Law):
     """Law of ``length`` sequential draws with replacement increment ``c``.
 
     ``alpha`` is kept as a tuple of (label, weight) pairs in alphabet order
@@ -186,8 +221,16 @@ class UrnModel:
 
     # -- law -----------------------------------------------------------------
 
+    @cached_property
+    def _integer_weights(self):
+        """(A, C): alpha (a tuple in alphabet order) and c scaled by the least
+        common denominator D, so every law is a ratio of integers."""
+        den = lcm(self.c.denominator, *(w.denominator for _, w in self.alpha))
+        return tuple(int(w * den) for _, w in self.alpha), int(self.c * den)
+
     def joint_pmf(self, seq) -> Fraction:
-        """Probability of an ordered sequence of labels."""
+        """Probability of an ordered sequence of labels; the step-by-step
+        oracle for the tabulated laws."""
         seq = tuple(seq)
         if len(seq) > self.length:
             raise LengthExceeded(f"sequence longer than horizon {self.length}")
@@ -226,28 +269,58 @@ class UrnModel:
         )
         return UrnModel(self.alphabet, alpha, self.c, self.length - len(ms))
 
-    def multiset_weight(self, ms) -> Fraction:
-        """Probability of an unordered outcome: ordered pmf times the number
-        of distinct orderings."""
-        ms = self.alphabet.canon(ms)
-        return permutation_count(ms) * self.joint_pmf(ms)
-
-    def support_multisets(self, size: int):
-        for ms in self.alphabet.multisets(size):
-            if self.multiset_weight(ms) > 0:
-                yield ms
+    def _build_size_law(self, k: int, ms: tuple = ()) -> dict:
+        """Law of the multiset of the next k draws after observing ms, on
+        integer numerators: with A_a = D*alpha_a + C*n_a(ms),
+        P(ext) = multinomial(ext) * prod_a prod_{j<e_a} (A_a + jC)
+                 / prod_{i<k} (A + iC)."""
+        weights, step = self._integer_weights
+        cnt = Counter(ms)
+        rising = {}
+        for label, w in zip(self.alphabet.labels, weights):
+            w += step * cnt[label]
+            if w < 0:
+                raise ValidationError(f"observing {ms!r} exhausts {label!r}")
+            rising[label] = _rising(w, step, k)
+        den = _rising(sum(weights) + step * len(ms), step, k)[k]
+        law = {}
+        for ext in self.alphabet.multisets(k):
+            num = permutation_count(ext)
+            for label, e in Counter(ext).items():
+                num *= rising[label][e]
+            law[ext] = Fraction(num, den)
+        return law
 
     def extension_law(self, observed, k: int) -> dict:
         """Conditional law of the multiset of the next k draws."""
         ms = self.alphabet.canon(observed)
         if len(ms) + k > self.length:
             raise LengthExceeded("extension exceeds the horizon")
-        if k == 0:
-            return {(): Fraction(1)}
-        post = self.posterior(ms)
-        return {ext: post.multiset_weight(ext) for ext in self.alphabet.multisets(k)}
+        if not ms:
+            return dict(self.size_law(k))
+        return self._build_size_law(k, ms)
 
     # -- sampling --------------------------------------------------------------
+
+    @cached_property
+    def _cumulative_laws(self) -> dict:
+        """Inverse-CDF tables of the predictive law, keyed by the observed
+        multiset: (label, cumulative numerator << 64, denominator) for each
+        label of positive mass."""
+        return {}
+
+    def _cumulative_law(self, observed: tuple) -> tuple:
+        cum_law = self._cumulative_laws.get(observed)
+        if cum_law is None:
+            cum = Fraction(0)
+            out = []
+            for label, p in self.predictive(observed).items():
+                if p == 0:
+                    continue
+                cum += p
+                out.append((label, cum.numerator << 64, cum.denominator))
+            cum_law = self._cumulative_laws[observed] = tuple(out)
+        return cum_law
 
     def sample(self, n: int, seed: int) -> tuple:
         """Draw n labels sequentially; deterministic for a given 64-bit seed."""
@@ -256,7 +329,7 @@ class UrnModel:
         rng = random.Random(seed)
         out = []
         for _ in range(n):
-            cum = _cumulative_law(self, self.alphabet.canon(out))
+            cum = self._cumulative_law(self.alphabet.canon(out))
             out.append(_draw_from_cumulative(cum, rng.getrandbits(64)))
         return tuple(out)
 
@@ -286,7 +359,7 @@ MIXTURE_ALPHABET = Alphabet((Symbol("0", Fraction(0)), Symbol("1", Fraction(1)))
 
 
 @dataclass(frozen=True)
-class MixtureModel:
+class MixtureModel(_Law):
     """Binary exchangeable trials driven by a uniform rate on (0, epsilon).
 
     The ordered pmf of a sequence with k successes among n trials is the
@@ -320,12 +393,11 @@ class MixtureModel:
             out += Fraction((-1) ** j) * binomial(n - k, j) * eps ** (k + j) / (k + j + 1)
         return out
 
-    def multiset_weight(self, ms) -> Fraction:
-        ms = self.alphabet.canon(ms)
-        return permutation_count(ms) * self.joint_pmf(ms)
-
-    def support_multisets(self, size: int):
-        yield from self.alphabet.multisets(size)
+    def _build_size_law(self, size: int) -> dict:
+        return {
+            ms: permutation_count(ms) * self.joint_pmf(ms)
+            for ms in self.alphabet.multisets(size)
+        }
 
     def predictive(self, observed=()) -> dict:
         ms = self.alphabet.canon(observed)

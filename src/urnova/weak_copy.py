@@ -148,6 +148,7 @@ class WeakCopyReport:
     degenerate_copy: bool  # scale 0 reproduces the base law exactly
     density_bound: Fraction
     density_ok: bool
+    marginals: tuple  # (sequence, base pmf, tilted pmf) for every checked sequence
 
     @property
     def passed(self) -> bool:
@@ -166,7 +167,8 @@ def verify_weak_copy(tilted: TiltedModel) -> WeakCopyReport:
     Verifies: marginals of length <= level equal the base; marginal tables
     up to level + 2 (horizon permitting) are permutation-invariant and sum
     to one; some (level+1)-marginal moves unless the scale is zero; the
-    certified density bound stays below eta.
+    certified density bound stays below eta.  The report keeps every
+    checked sequence's base and tilted probability.
     """
     base = tilted.base
     labels = base.alphabet.labels
@@ -176,21 +178,22 @@ def verify_weak_copy(tilted: TiltedModel) -> WeakCopyReport:
     exchangeable = True
     normalized = True
     discrepancy = ()
+    marginals = []
     for length in range(top + 1):
         total = Fraction(0)
         by_multiset = {}
         for seq in itertools.product(labels, repeat=length):
             p = tilted.marginal_pmf(seq)
+            base_p = base.joint_pmf(seq)
+            marginals.append((seq, base_p, p))
             total += p
             key = base.alphabet.canon(seq)
             if by_multiset.setdefault(key, p) != p:
                 exchangeable = False
-            if length <= k and p != base.joint_pmf(seq):
+            if length <= k and p != base_p:
                 small_ok = False
-            if length == k + 1 and not discrepancy:
-                base_p = base.joint_pmf(seq)
-                if p != base_p:
-                    discrepancy = (seq, base_p, p)
+            if length == k + 1 and not discrepancy and p != base_p:
+                discrepancy = (seq, base_p, p)
         if length and total != 1:
             normalized = False
     return WeakCopyReport(
@@ -203,4 +206,5 @@ def verify_weak_copy(tilted: TiltedModel) -> WeakCopyReport:
         degenerate_copy=(tilted.scale == 0),
         density_bound=tilted.certified_density_bound,
         density_ok=tilted.certified_density_bound < tilted.eta,
+        marginals=tuple(marginals),
     )

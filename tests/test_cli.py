@@ -312,6 +312,21 @@ class TestMalformedDocuments:
         err = capsys.readouterr().err
         assert "k.json" in err and "builtin" in err and "'median'" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"builtin": "max", "arity": "x"},
+        {"builtin": "max", "arity": 0},
+        {"builtin": "max", "arity": -2},
+        {"builtin": "max", "arity": True},
+        {"arity": "2", "entries": []},
+        {"arity": 0, "entries": [{"multiset": {}, "value": "1"}]},
+    ])
+    def test_kernel_arity_exits_2(self, tmp_path, capsys, doc):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        kernel = write_json(tmp_path / "k.json", doc)
+        assert main(["decompose", "--model", model, "--kernel", kernel, "--M", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "k.json" in err and "arity" in err and repr(doc["arity"]) in err
+
     def test_boolean_length_rejected_by_the_model(self):
         alphabet = Alphabet((Symbol("a"),))
         with pytest.raises(ValidationError):

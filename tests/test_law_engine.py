@@ -1,0 +1,211 @@
+"""Each fast path of the law engine against the oracle it replaced: the
+integer size laws against the ordered pmf, the tower-built diagonal family
+against posterior enumeration, and the grouped sub-multiset sums against
+plain sums over index subsets.  Models span every replacement regime, with
+zero weights allowed so that letters of zero predictive mass occur."""
+
+import random
+from collections import Counter
+from fractions import Fraction as F
+from itertools import combinations
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import random_kernel
+from urnova import (
+    MixtureModel,
+    cond_expectation,
+    degenerate_basis,
+    diagonal_family,
+    expectation,
+    extract_kernel,
+    is_degenerate,
+    project_level,
+    theta_table,
+    urn_model,
+    ustatistic,
+)
+from urnova.combinatorics import (
+    index_subsets,
+    permutation_count,
+    sub_multiset_sum,
+    sub_multisets,
+)
+from urnova.errors import (
+    DegenerateAssumption,
+    LengthExceeded,
+    UnknownSymbol,
+    ZeroDenominator,
+)
+
+MIXTURE_SIZES = 4  # sizes checked on the mixture, whose horizon is unlimited
+
+
+@st.composite
+def models(draw, urn_only=False):
+    """A model from one replacement regime; urn weights may be zero."""
+    regimes = ["polya", "iid", "wor", "frac"]
+    if not urn_only:
+        regimes += ["mixture", "mixture-1"]
+    regime = draw(st.sampled_from(regimes))
+    if regime == "mixture":
+        return MixtureModel(F(draw(st.integers(1, 9)), 10))
+    if regime == "mixture-1":
+        return MixtureModel(F(1))
+    labels = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(labels), max_size=len(labels)))
+    assume(any(weights))
+    c = {"polya": F(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+         "iid": F(0), "wor": F(-1), "frac": F(-1, 2)}[regime]
+    den = 2 if regime in ("polya", "frac") else 1
+    alpha = {l: F(w, den) for l, w in zip(labels, weights)}
+    length = draw(st.integers(1, 4))
+    if c < 0:
+        # the predictive denominator must stay positive across the horizon
+        assume(sum(alpha.values()) + c * (length - 1) > 0)
+    return urn_model(labels, alpha, c, length)
+
+
+def horizon(model):
+    return MIXTURE_SIZES if model.length is None else model.length
+
+
+class TestSizeLaw:
+    @given(model=models())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_permutation_count_times_ordered_pmf(self, model):
+        for size in range(horizon(model) + 1):
+            law = model.size_law(size)
+            assert list(law) == list(model.alphabet.multisets(size))
+            for ms, weight in law.items():
+                assert weight == permutation_count(ms) * model.joint_pmf(ms)
+                assert model.multiset_weight(tuple(reversed(ms))) == weight
+            assert sum(law.values()) == 1
+            assert list(model.support_multisets(size)) == [ms for ms, w in law.items() if w]
+
+    @given(model=models(urn_only=True))
+    @settings(max_examples=60, deadline=None)
+    def test_extension_law_equals_posterior_enumeration(self, model):
+        for m in range(model.length):
+            for observed in model.support_multisets(m):
+                post = model.posterior(observed)
+                for k in range(model.length - m + 1):
+                    law = model.extension_law(observed, k)
+                    assert law == {ext: permutation_count(ext) * post.joint_pmf(ext)
+                                   for ext in model.alphabet.multisets(k)}
+
+    @given(model=models(urn_only=True))
+    @settings(max_examples=30, deadline=None)
+    def test_beyond_the_horizon_raises(self, model):
+        label = model.alphabet.labels[0]
+        with pytest.raises(LengthExceeded):
+            model.multiset_weight((label,) * (model.length + 1))
+        with pytest.raises(LengthExceeded):
+            model.size_law(model.length + 1)
+        with pytest.raises(UnknownSymbol):
+            model.multiset_weight(("z",))
+
+    def test_tables_are_computed_once_per_instance(self):
+        model = urn_model(["a", "b"], {"a": 1, "b": 2}, 1, 4)
+        assert model.size_law(3) is model.size_law(3)
+        # equal models share no cache; equality and hashing ignore it
+        twin = urn_model(["a", "b"], {"a": 1, "b": 2}, 1, 4)
+        assert twin == model and hash(twin) == hash(model)
+        assert twin.size_law(3) is not model.size_law(3)
+        assert twin.size_law(3) == model.size_law(3)
+
+
+class TestTowerFamily:
+    @given(model=models(), seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_level_equals_the_enumeration_oracle(self, model, seed, data):
+        arity = data.draw(st.integers(1, min(3, horizon(model))))
+        statistic = random_kernel(random.Random(seed), model.alphabet, arity)
+        fam = diagonal_family(model, statistic)
+        assert len(fam.levels) == arity + 1
+        for q, level in enumerate(fam.levels):
+            assert list(level) == list(model.support_multisets(q))
+            for ms, value in level.items():
+                assert value == cond_expectation(model, statistic, ms)
+        assert fam.mean == expectation(model, statistic)
+
+    @given(model=models(), seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_is_degenerate_matches_the_oracle(self, model, seed, data):
+        arity = data.draw(st.integers(1, min(3, horizon(model))))
+        rng = random.Random(seed)
+        for kernel in degenerate_basis(model, arity) + [random_kernel(rng, model.alphabet, arity)]:
+            oracle = all(cond_expectation(model, kernel, ms) == 0
+                         for ms in model.support_multisets(arity - 1))
+            assert is_degenerate(model, kernel) == oracle
+
+    def test_cached_on_the_model(self):
+        model = urn_model(["a", "b"], {"a": 1, "b": 2}, 1, 3)
+        statistic = random_kernel(random.Random(1), model.alphabet, 2)
+        fam = diagonal_family(model, statistic)
+        assert model.diagonal_families == {statistic: fam}
+
+
+def plain_sum(table, ms, k):
+    return sum((table[tuple(ms[i] for i in pick)] for pick in index_subsets(len(ms), k)), F(0))
+
+
+class TestSubMultisets:
+    @given(ms=st.lists(st.sampled_from("abcd"), max_size=7), k=st.integers(-1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_multiplicities_count_index_subsets(self, ms, k):
+        ms = tuple(sorted(ms))
+        expected = Counter(combinations(ms, k)) if k >= 0 else Counter()
+        assert dict(sub_multisets(ms, k)) == dict(expected)
+
+    @given(ms=st.lists(st.sampled_from("abc"), max_size=6), seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_grouped_sum_equals_plain_sum(self, ms, seed):
+        ms = tuple(sorted(ms))
+        rng = random.Random(seed)
+        for k in range(len(ms) + 1):
+            table = {sub: F(rng.randint(-9, 9), rng.randint(1, 9))
+                     for sub in set(combinations(ms, k))}
+            assert sub_multiset_sum(table, ms, k) == plain_sum(table, ms, k)
+
+    @given(model=models(), seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ustatistic_equals_plain_sum(self, model, seed, data):
+        size = data.draw(st.integers(1, min(4, horizon(model))))
+        arity = data.draw(st.integers(1, size))
+        kernel = random_kernel(random.Random(seed), model.alphabet, arity)
+        u = ustatistic(kernel, size)
+        for ms, value in u.entries:
+            assert value == plain_sum(kernel.table, ms, arity)
+
+    @given(model=models(urn_only=True), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_kernels_and_levels_equal_plain_oracle_sums(self, model, seed):
+        M = model.length
+        statistic = random_kernel(random.Random(seed), model.alphabet, M)
+        statistic = statistic.shift(-expectation(model, statistic))
+        try:
+            table = theta_table(M, model.alpha_total, model.c)
+        except (DegenerateAssumption, ZeroDenominator):
+            assume(False)  # no coefficient recursion on this short urn
+
+        def oracle(coefs, ms, s):
+            # the statistic's diagonal conditionals by enumeration, summed
+            # over every index subset of the multiset
+            if model.multiset_weight(ms) == 0:
+                return F(0)
+            return sum(
+                (coefs[(s, a)] * cond_expectation(model, statistic, tuple(ms[i] for i in pick))
+                 for a in range(1, s + 1) for pick in index_subsets(len(ms), a)),
+                F(0),
+            )
+
+        for s in range(1, M + 1):
+            kernel = extract_kernel(model, statistic, M, s)
+            for ms, value in kernel.entries:
+                assert value == oracle(table.theta_star, ms, s)
+            level = project_level(model, statistic, M, s)
+            for ms, value in level.entries:
+                assert value == oracle(table.theta, ms, s)
