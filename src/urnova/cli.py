@@ -81,8 +81,8 @@ def parse_model_file(path):
         raise ParseError(f"{path}: length must be an integer, not {doc['length']!r}")
     symbols = []
     for i, entry in enumerate(doc["symbols"]):
-        if not isinstance(entry, dict) or "label" not in entry:
-            raise ParseError(f"{path}: symbols[{i}] needs a label")
+        if not isinstance(entry, dict) or not isinstance(entry.get("label"), str):
+            raise ParseError(f"{path}: symbols[{i}] needs a string label, not {entry!r}")
         label = entry["label"]
         if "value" in entry and entry["value"] is not None:
             symbols.append((label, _rational(entry["value"], f"{path}: symbols[{i}].value")))
@@ -118,10 +118,12 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
     for key in ("arity", "entries"):
         if key not in doc:
             raise ParseError(f"{path}: missing field {key!r}")
+    if not isinstance(doc["entries"], list):
+        raise ParseError(f"{path}: entries must be a list, not {doc['entries']!r}")
     entries = []
     for i, entry in enumerate(doc["entries"]):
-        if "multiset" not in entry or "value" not in entry:
-            raise ParseError(f"{path}: entries[{i}] needs multiset and value")
+        if not isinstance(entry, dict) or "multiset" not in entry or "value" not in entry:
+            raise ParseError(f"{path}: entries[{i}] needs multiset and value, not {entry!r}")
         labels = _expand_multiset(entry["multiset"], path)
         entries.append((labels, _rational(entry["value"], f"{path}: entries[{i}].value")))
     return from_table(model.alphabet, _arity(doc, path), entries)

@@ -40,12 +40,17 @@ def psi_coeff(M: int, q: int, n: int, m: int, alpha_total, c) -> Fraction:
     """
     if not (0 <= q <= m <= n <= M):
         raise ValueError(f"bad indices M={M} q={q} n={n} m={m}")
+    return _psi_sum(M, q, n, m, lambda *key: phi_coeff(*key, alpha_total, c))
+
+
+def _psi_sum(M: int, q: int, n: int, m: int, phi) -> Fraction:
+    """psi from a lookup phi(n, m, r, p): the placements sharing r of the
+    q surviving arguments, each with its p = q - r step promotion weight."""
     total = Fraction(0)
     for r in range(q + 1):
         count = binomial(q, r) * star_binomial(M - n, m - r)
-        if count == 0:
-            continue
-        total += count * phi_coeff(n, m, r, q - r, alpha_total, c)
+        if count:
+            total += count * phi(n, m, r, q - r)
     return total
 
 
@@ -82,21 +87,33 @@ class CoefficientTable:
 
 
 def _compute_maps(M: int, alpha_total, c):
-    """Uncached construction of the five coefficient maps."""
-    bad = assumption_check(M, alpha_total, c)
+    """Uncached construction of the five coefficient maps; each phi entry
+    is computed once and psi is summed from them."""
+    memo = {}
+
+    def phi_at(*key):
+        if key not in memo:
+            memo[key] = phi_coeff(*key, alpha_total, c)
+        return memo[key]
+
+    # psi reads only phi entries whose denominator factors alpha + c*t have
+    # 1 <= t < M, as the pivots psi(1, t, 1) do; so psi fails exactly where
+    # the pivots do, and a vanishing pivot is reported before the remaining
+    # phi entries (with t up to 2M - 1) can raise ZeroDenominator
+    psi = {
+        (q, n, m): _psi_sum(M, q, n, m, phi_at)
+        for n in range(1, M + 1) for m in range(1, n + 1) for q in range(m + 1)
+    }
+    bad = tuple(
+        (q, n) for n in range(1, M + 1) for q in range(1, n + 1) if psi[(q, n, q)] == 0
+    )
     if bad:
         raise DegenerateAssumption(f"vanishing pivots at (q, n) pairs {bad}")
-    phi = {}
-    for n in range(1, M + 1):
-        for m in range(1, n + 1):
-            for r in range(m + 1):
-                for p in range(m - r + 1):
-                    phi[(n, m, r, p)] = phi_coeff(n, m, r, p, alpha_total, c)
-    psi = {}
-    for n in range(1, M + 1):
-        for m in range(1, n + 1):
-            for q in range(m + 1):
-                psi[(q, n, m)] = psi_coeff(M, q, n, m, alpha_total, c)
+    phi = {
+        (n, m, r, p): phi_at(n, m, r, p)
+        for n in range(1, M + 1) for m in range(1, n + 1)
+        for r in range(m + 1) for p in range(m - r + 1)
+    }
     gamma = {k: 1 / psi[(k, k, k)] for k in range(1, M + 1)}
 
     # Levels k = 1..M-1 are solved one at a time.  Within a level, the

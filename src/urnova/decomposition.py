@@ -60,57 +60,49 @@ def _centered_family(model, statistic):
     return fam
 
 
-def project_level(model, statistic: SymmetricKernel, horizon: int, s: int) -> SymmetricKernel:
-    """Level-s component of a centered statistic, as a statistic of all
-    `horizon` coordinates, built directly from the theta coefficients."""
+def _combine_levels(model, fam, coefs: dict, size: int) -> SymmetricKernel:
+    """Kernel of the given size: zero off the model's support, and on it
+    sum_a coefs[a] * (sum of level a of the family over the size-a
+    sub-multisets)."""
+    support = set(model.support_multisets(size))
+    entries = []
+    for ms in model.alphabet.multisets(size):
+        value = Fraction(0)
+        if ms in support:
+            for a, coef in coefs.items():
+                if coef:
+                    value += coef * sub_multiset_sum(fam.levels[a], ms, a)
+        entries.append((ms, value))
+    return SymmetricKernel(size, model.alphabet, tuple(entries))
+
+
+def _level_inputs(model, statistic: SymmetricKernel, horizon: int, s: int):
+    """Checked arguments of a level-s projection: the centered statistic's
+    diagonal family and the horizon's coefficient table."""
     if statistic.arity != horizon:
         raise ArityMismatch("statistic arity must equal the horizon")
     if not (1 <= s <= horizon):
         raise IndexOutOfRange(f"level {s} outside 1..{horizon}")
     check_horizon(model, horizon)
     fam = _centered_family(model, statistic)
-    table = theta_table(horizon, model.alpha_total, model.c)
-    support = set(model.support_multisets(horizon))
-    entries = []
-    for ms in model.alphabet.multisets(horizon):
-        if ms not in support:
-            entries.append((ms, Fraction(0)))
-            continue
-        value = Fraction(0)
-        for a in range(1, s + 1):
-            coef = table.theta[(s, a)]
-            if coef == 0:
-                continue
-            value += coef * sub_multiset_sum(fam.levels[a], ms, a)
-        entries.append((ms, value))
-    return SymmetricKernel(horizon, model.alphabet, tuple(entries))
+    return fam, theta_table(horizon, model.alpha_total, model.c)
+
+
+def project_level(model, statistic: SymmetricKernel, horizon: int, s: int) -> SymmetricKernel:
+    """Level-s component of a centered statistic, as a statistic of all
+    `horizon` coordinates, built directly from the theta coefficients."""
+    fam, table = _level_inputs(model, statistic, horizon, s)
+    coefs = {a: table.theta[(s, a)] for a in range(1, s + 1)}
+    return _combine_levels(model, fam, coefs, horizon)
 
 
 def extract_kernel(model, statistic: SymmetricKernel, horizon: int, s: int) -> SymmetricKernel:
     """The degenerate arity-s kernel whose U-statistic is the level-s
     component; star-scaled theta coefficients over the kernel's own
     coordinate subsets."""
-    if statistic.arity != horizon:
-        raise ArityMismatch("statistic arity must equal the horizon")
-    if not (1 <= s <= horizon):
-        raise IndexOutOfRange(f"level {s} outside 1..{horizon}")
-    check_horizon(model, horizon)
-    fam = _centered_family(model, statistic)
-    table = theta_table(horizon, model.alpha_total, model.c)
-    support = set(model.support_multisets(s))
-    entries = []
-    for ms in model.alphabet.multisets(s):
-        if ms not in support:
-            entries.append((ms, Fraction(0)))
-            continue
-        value = Fraction(0)
-        for a in range(1, s + 1):
-            coef = table.theta_star[(s, a)]
-            if coef == 0:
-                continue
-            value += coef * sub_multiset_sum(fam.levels[a], ms, a)
-        entries.append((ms, value))
-    return SymmetricKernel(s, model.alphabet, tuple(entries))
+    fam, table = _level_inputs(model, statistic, horizon, s)
+    coefs = {a: table.theta_star[(s, a)] for a in range(1, s + 1)}
+    return _combine_levels(model, fam, coefs, s)
 
 
 def decompose(model, statistic: SymmetricKernel, horizon: int) -> HoeffdingDecomposition:
@@ -142,14 +134,7 @@ def project_degenerate_ustat(model, kernel: SymmetricKernel, horizon: int) -> Sy
     stat = ustatistic(kernel, horizon)
     fam = diagonal_family(model, stat)
     g = gamma_coeff(horizon, n, model.alpha_total, model.c)
-    support = set(model.support_multisets(horizon))
-    entries = []
-    for ms in model.alphabet.multisets(horizon):
-        if ms not in support:
-            entries.append((ms, Fraction(0)))
-            continue
-        entries.append((ms, g * sub_multiset_sum(fam.levels[n], ms, n)))
-    return SymmetricKernel(horizon, model.alphabet, tuple(entries))
+    return _combine_levels(model, fam, {n: g}, horizon)
 
 
 def degenerate_cov(model, left: SymmetricKernel, right: SymmetricKernel,

@@ -118,12 +118,15 @@ def _rising(x: int, step: int, n: int) -> list:
 
 
 class _Law:
-    """Caches shared by both model families.
+    """Laws and caches shared by both model families.
 
-    ``size_law(n)`` is the law of the multiset of the first n draws,
-    computed once per size; ``diagonal_families`` holds the diagonal
-    families built by :func:`urnova.conditional.diagonal_family`, keyed by
-    statistic.  Returned tables are shared: read them, never mutate them.
+    Each family defines one law primitive, ``_build_size_law(k, observed)``:
+    the law of the multiset of the next k draws after an observed multiset.
+    ``size_law(n)`` is that law with nothing observed, computed once per
+    size; ``extension_law`` and ``predictive`` read the primitive too.
+    ``diagonal_families`` holds the diagonal families built by
+    :func:`urnova.conditional.diagonal_family`, keyed by statistic.
+    Returned tables are shared: read them, never mutate them.
     """
 
     @cached_property
@@ -151,6 +154,20 @@ class _Law:
 
     def support_multisets(self, size: int):
         return (ms for ms, w in self.size_law(size).items() if w)
+
+    def extension_law(self, observed, k: int) -> dict:
+        """Conditional law of the multiset of the next k draws."""
+        ms = self.alphabet.canon(observed)
+        check_horizon(self, len(ms) + k)
+        if not ms:
+            return dict(self.size_law(k))
+        return self._build_size_law(k, ms)
+
+    def predictive(self, observed=()) -> dict:
+        """Law of the next draw given an observed multiset of labels."""
+        ms = self.alphabet.canon(observed)
+        check_horizon(self, len(ms) + 1)
+        return {ext[0]: p for ext, p in self._build_size_law(1, ms).items()}
 
 
 @dataclass(frozen=True)
@@ -244,18 +261,6 @@ class UrnModel(_Law):
             seen[label] += 1
         return out
 
-    def predictive(self, observed=()) -> dict:
-        """Law of the next draw given an observed multiset of labels."""
-        ms = self.alphabet.canon(observed)
-        if len(ms) >= self.length:
-            raise LengthExceeded("no draws left within the horizon")
-        cnt = Counter(ms)
-        den = self.alpha_total + self.c * len(ms)
-        return {
-            label: (self.alpha_of(label) + self.c * cnt[label]) / den
-            for label in self.alphabet.labels
-        }
-
     def posterior(self, observed) -> "UrnModel":
         """Model of the remaining draws after observing a multiset."""
         ms = self.alphabet.canon(observed)
@@ -269,20 +274,20 @@ class UrnModel(_Law):
         )
         return UrnModel(self.alphabet, alpha, self.c, self.length - len(ms))
 
-    def _build_size_law(self, k: int, ms: tuple = ()) -> dict:
-        """Law of the multiset of the next k draws after observing ms, on
-        integer numerators: with A_a = D*alpha_a + C*n_a(ms),
+    def _build_size_law(self, k: int, observed: tuple = ()) -> dict:
+        """Law of the multiset of the next k draws after an observed
+        multiset, on integer numerators: with A_a = D*alpha_a + C*n_a,
         P(ext) = multinomial(ext) * prod_a prod_{j<e_a} (A_a + jC)
                  / prod_{i<k} (A + iC)."""
         weights, step = self._integer_weights
-        cnt = Counter(ms)
+        cnt = Counter(observed)
         rising = {}
         for label, w in zip(self.alphabet.labels, weights):
             w += step * cnt[label]
             if w < 0:
-                raise ValidationError(f"observing {ms!r} exhausts {label!r}")
+                raise ValidationError(f"observing {observed!r} exhausts {label!r}")
             rising[label] = _rising(w, step, k)
-        den = _rising(sum(weights) + step * len(ms), step, k)[k]
+        den = _rising(sum(weights) + step * len(observed), step, k)[k]
         law = {}
         for ext in self.alphabet.multisets(k):
             num = permutation_count(ext)
@@ -290,15 +295,6 @@ class UrnModel(_Law):
                 num *= rising[label][e]
             law[ext] = Fraction(num, den)
         return law
-
-    def extension_law(self, observed, k: int) -> dict:
-        """Conditional law of the multiset of the next k draws."""
-        ms = self.alphabet.canon(observed)
-        if len(ms) + k > self.length:
-            raise LengthExceeded("extension exceeds the horizon")
-        if not ms:
-            return dict(self.size_law(k))
-        return self._build_size_law(k, ms)
 
     # -- sampling --------------------------------------------------------------
 
@@ -393,31 +389,14 @@ class MixtureModel(_Law):
             out += Fraction((-1) ** j) * binomial(n - k, j) * eps ** (k + j) / (k + j + 1)
         return out
 
-    def _build_size_law(self, size: int) -> dict:
+    def _build_size_law(self, k: int, observed: tuple = ()) -> dict:
+        """Law of the multiset of the next k trials after observing a
+        multiset: ratios of ordered probabilities."""
+        base = self.joint_pmf(observed)
         return {
-            ms: permutation_count(ms) * self.joint_pmf(ms)
-            for ms in self.alphabet.multisets(size)
+            ext: permutation_count(ext) * self.joint_pmf(observed + ext) / base
+            for ext in self.alphabet.multisets(k)
         }
-
-    def predictive(self, observed=()) -> dict:
-        ms = self.alphabet.canon(observed)
-        base = self.joint_pmf(ms)
-        return {
-            label: self.joint_pmf(ms + (label,)) / base
-            for label in self.alphabet.labels
-        }
-
-    def extension_law(self, observed, k: int) -> dict:
-        ms = self.alphabet.canon(observed)
-        if k == 0:
-            return {(): Fraction(1)}
-        base = self.joint_pmf(ms)
-        out = {}
-        for ext in self.alphabet.multisets(k):
-            out[ext] = (
-                permutation_count(ext) * self.joint_pmf(ms + ext) / base
-            )
-        return out
 
 
 def check_horizon(model, needed: int):

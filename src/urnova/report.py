@@ -32,11 +32,12 @@ def format_rational(x: Fraction) -> str:
 def format_decimal(x: Fraction) -> str:
     try:
         value = float(x)
-        if value or not x:
+        if abs(value) >= sys.float_info.min or not x:
             return f"{value:.12g}"
     except OverflowError:
         pass
-    # outside the float range: round the exact quotient to 12 digits instead
+    # outside the normal float range, where a float keeps fewer than 12
+    # digits: round the exact quotient to 12 digits instead
     with localcontext() as ctx:
         ctx.prec = 12
         return f"{(Decimal(x.numerator) / x.denominator).normalize():.12g}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -103,7 +103,12 @@ class TiltedModel:
                 num = prod(per_label[label][k] for label, k in (counts + ms_counts).items())
                 correction += coef * num
             correction /= total[len(seq) + self.tilt.arity]
-        return self.base.joint_pmf(seq) + self.scale * correction
+        return _base_pmf(self.base, seq) + self.scale * correction
+
+
+def _base_pmf(base: UrnModel, seq) -> Fraction:
+    """Ordered probability of a sequence, read from the base's size law."""
+    return base.multiset_weight(seq) / permutation_count(seq)
 
 
 def build_weak_copy(base: UrnModel, level: int, seed_statistic: SymmetricKernel,
@@ -130,11 +135,8 @@ def build_weak_copy(base: UrnModel, level: int, seed_statistic: SymmetricKernel,
         raise ZeroProjection(
             "top-level projection of the seed statistic vanishes; pick another seed"
         )
-    bound = sum(
-        (permutation_count(ms) * abs(v) for ms, v in tilt.entries), Fraction(0)
-    )
-    scale = eta / (2 * bound)
-    return TiltedModel(base, level, tilt, scale, eta)
+    unscaled = TiltedModel(base, level, tilt, Fraction(0), eta)
+    return replace(unscaled, scale=eta / (2 * unscaled.coefficient_bound))
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,7 @@ def verify_weak_copy(tilted: TiltedModel) -> WeakCopyReport:
         by_multiset = {}
         for seq in itertools.product(labels, repeat=length):
             p = tilted.marginal_pmf(seq)
-            base_p = base.joint_pmf(seq)
+            base_p = _base_pmf(base, seq)
             marginals.append((seq, base_p, p))
             total += p
             key = base.alphabet.canon(seq)

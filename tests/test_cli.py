@@ -1,12 +1,20 @@
+import itertools
 import json
+import sys
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urnova import Alphabet, Symbol, UrnModel, expectation, from_table, ustatistic
+from urnova.conditional import cond_expectation, symmetrized_offdiagonal
 from urnova.cli import kernel_to_json, main, parse_kernel_file, parse_model_file
 from urnova.errors import ExhaustedUrn, ParseError, ValidationError
 from urnova.report import Report, format_decimal, render_csv
+from urnova.weak_copy import dirichlet_moment
 
 
 def write_json(path, doc):
@@ -88,6 +96,8 @@ class TestReports:
         (F(10**20), "1e+20"),
         (F(1, 3), "0.333333333333"),
         (F(0), "0"),
+        (F(1, 10**320), "1e-320"),
+        (F(-2, 3 * 10**315), "-6.66666666667e-316"),
     ])
     def test_decimal_beyond_float_range(self, value, text):
         assert format_decimal(value) == text
@@ -305,6 +315,11 @@ class TestMalformedDocuments:
         assert code == 2
         assert "m.json" in err and field in err and repr(value) in err
 
+    def test_symbol_label_must_be_a_string(self, tmp_path, capsys):
+        code, err = self.run_model(tmp_path, capsys, dict(polya_doc(), symbols=[{"label": ["a"]}]))
+        assert code == 2
+        assert "m.json" in err and "symbols[0]" in err and "['a']" in err
+
     def test_unknown_builtin_exits_2(self, tmp_path, capsys):
         model = write_json(tmp_path / "m.json", polya_doc())
         kernel = write_json(tmp_path / "k.json", {"builtin": "median"})
@@ -327,6 +342,17 @@ class TestMalformedDocuments:
         err = capsys.readouterr().err
         assert "k.json" in err and "arity" in err and repr(doc["arity"]) in err
 
+    @pytest.mark.parametrize("doc, field, value", [
+        ({"arity": 2, "entries": 5}, "entries", 5),
+        ({"arity": 2, "entries": [5]}, "entries[0]", 5),
+    ])
+    def test_kernel_entries_exit_2(self, tmp_path, capsys, doc, field, value):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        kernel = write_json(tmp_path / "k.json", doc)
+        assert main(["decompose", "--model", model, "--kernel", kernel, "--M", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "k.json" in err and field in err and repr(value) in err
+
     def test_boolean_length_rejected_by_the_model(self):
         alphabet = Alphabet((Symbol("a"),))
         with pytest.raises(ValidationError):
@@ -347,3 +373,138 @@ class TestLemma3Flags:
         out = tmp_path / "l.csv"
         assert main(["lemma3", "--N", "4", *argv, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2 + rows
+
+
+class TestOracleIsolation:
+    """Production commands never reach the enumeration oracles."""
+
+    def test_commands_run_without_oracles(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an oracle was called")
+
+        for oracle in (cond_expectation, symmetrized_offdiagonal, dirichlet_moment):
+            for name, module in list(sys.modules.items()):
+                if name == "urnova" or name.startswith("urnova."):
+                    for key, value in list(vars(module).items()):
+                        if value is oracle:
+                            monkeypatch.setattr(module, key, forbidden)
+        monkeypatch.setattr(UrnModel, "joint_pmf", forbidden)
+        model = write_json(tmp_path / "m.json", polya_doc())
+        k_max = write_json(tmp_path / "max.json", {"builtin": "max"})
+        k_min = write_json(tmp_path / "min.json", {"builtin": "min"})
+        out = str(tmp_path / "o.csv")
+        for argv in (
+            ["decompose", "--kernel", k_max, "--M", "3"],
+            ["covariance", "--kernel", k_max, "--kernel", k_min, "--M", "3"],
+            ["coeffs", "--M", "4"],
+            ["check-wi", "--level", "3"],
+            ["weak-copy", "--kernel", k_max, "--level", "2"],
+            ["sample", "--count", "5", "--seed", "7"],
+        ):
+            assert main([*argv, "--model", model, "--out", out]) == 0, argv
+
+
+LABELS = st.sampled_from(["a", "b", "c"])
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.sampled_from([0.5, -1.0]),
+    st.sampled_from(["0", "1", "2", "-1", "1/2", "-1/2", "3/2", "x", "1/0", ""]),
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["a", "b", "label", "value", "multiset"]),
+                        inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+MULTISETS = st.one_of(st.dictionaries(LABELS, st.integers(-1, 3), max_size=3), JSON)
+# what a corrupted field of each document is replaced by
+MODEL_FIELDS = {
+    "symbols": st.one_of(JSON, st.lists(st.one_of(
+        JSON, st.fixed_dictionaries({"label": st.one_of(LABELS, JSON)},
+                                    optional={"value": JSON})), min_size=1, max_size=3)),
+    "alpha": st.one_of(JSON, st.dictionaries(LABELS, JSON, max_size=3)),
+    "c": JSON,
+    "length": JSON,
+}
+BUILTIN_FIELDS = {
+    "builtin": JSON,
+    "arity": st.one_of(st.integers(-1, 4), JSON),
+    "multiset": MULTISETS,
+}
+TABLE_FIELDS = {
+    "arity": st.one_of(st.integers(-1, 4), JSON),
+    "entries": st.one_of(SCALARS, st.lists(st.one_of(SCALARS, JSON, st.fixed_dictionaries(
+        {}, optional={"multiset": MULTISETS, "value": JSON})), min_size=1, max_size=4)),
+}
+
+
+def corrupt(draw, doc, fields):
+    """Delete or replace one or two fields of a well-formed document, or
+    replace the whole document by arbitrary JSON."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON)
+    for key in draw(st.lists(st.sampled_from(sorted(fields)), min_size=1, max_size=2,
+                             unique=True)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(fields[key])
+    return doc
+
+
+@st.composite
+def documents(draw):
+    """An urn model document and an arity-2 kernel document over its
+    labels, both well formed, and then one of them corrupted or the model
+    replaced by a mixture document."""
+    labels = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+    model = {
+        "symbols": [{"label": label, "value": str(i)} for i, label in enumerate(labels)],
+        "alpha": {label: str(draw(st.integers(0, 3))) for label in labels},
+        "c": draw(st.sampled_from(["1", "1/2", "0", "-1", "-1/2"])),
+        "length": draw(st.integers(1, 5)),
+    }
+    if draw(st.booleans()):
+        kernel, fields = {"builtin": draw(st.sampled_from(["max", "min", "mean", "indicator"])),
+                          "arity": 2, "multiset": {labels[0]: 2}}, BUILTIN_FIELDS
+    else:
+        kernel, fields = {"arity": 2, "entries": [
+            {"multiset": {label: ms.count(label) for label in set(ms)},
+             "value": str(draw(st.integers(-3, 3)))}
+            for ms in itertools.combinations_with_replacement(labels, 2)
+        ]}, TABLE_FIELDS
+    target = draw(st.sampled_from(["kernel", "model", "mixture", "none"]))
+    if target == "kernel":
+        kernel = corrupt(draw, kernel, fields)
+    elif target == "model":
+        model = corrupt(draw, model, MODEL_FIELDS)
+    elif target == "mixture":
+        model = {"epsilon": draw(st.one_of(st.sampled_from(["1/2", "1", "3/10"]), JSON))}
+    return model, kernel
+
+
+COMMAND_LINES = st.sampled_from([
+    ["decompose", "--M", "2", "--kernel", "K"],
+    ["weak-copy", "--level", "1", "--kernel", "K"],
+    ["covariance", "--M", "2", "--kernel", "K", "--kernel", "K"],
+    ["degenerate-cov", "--kernel", "K", "--kernel", "K"],
+    ["check-wi", "--level", "2"],
+    ["sample", "--count", "2", "--seed", "1"],
+    ["coeffs", "--M", "3"],
+    ["pmf", "--M", "2"],
+])
+
+
+class TestFuzzDocuments:
+    @given(docs=documents(), argv=COMMAND_LINES)
+    @settings(max_examples=200, deadline=None)
+    def test_every_document_maps_to_an_exit_code(self, docs, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            model = write_json(root / "m.json", docs[0])
+            kernel = write_json(root / "k.json", docs[1])
+            argv = [kernel if a == "K" else a for a in argv]
+            code = main([*argv, "--model", model, "--out", str(root / "o.csv")])
+        assert code in (0, 2, 3, 4, 5, 6)

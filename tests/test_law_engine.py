@@ -85,16 +85,24 @@ class TestSizeLaw:
             assert sum(law.values()) == 1
             assert list(model.support_multisets(size)) == [ms for ms, w in law.items() if w]
 
-    @given(model=models(urn_only=True))
+    @given(model=models())
     @settings(max_examples=60, deadline=None)
     def test_extension_law_equals_posterior_enumeration(self, model):
-        for m in range(model.length):
+        for m in range(horizon(model)):
             for observed in model.support_multisets(m):
-                post = model.posterior(observed)
-                for k in range(model.length - m + 1):
+                if model.length is None:
+                    base = model.joint_pmf(observed)
+                    oracle = lambda ext: model.joint_pmf(observed + ext) / base
+                else:
+                    oracle = model.posterior(observed).joint_pmf
+                for k in range(horizon(model) - m + 1):
                     law = model.extension_law(observed, k)
-                    assert law == {ext: permutation_count(ext) * post.joint_pmf(ext)
+                    assert law == {ext: permutation_count(ext) * oracle(ext)
                                    for ext in model.alphabet.multisets(k)}
+                step = model.extension_law(observed, 1)
+                assert model.predictive(observed) == {
+                    label: step[(label,)] for label in model.alphabet.labels
+                }
 
     @given(model=models(urn_only=True))
     @settings(max_examples=30, deadline=None)
