@@ -113,7 +113,7 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
             raise ParseError(f"{path}: builtin kernel needs an arity (or pass --M)")
         target = None
         if "multiset" in doc:
-            target = _expand_multiset(doc["multiset"], path)
+            target = _expand_multiset(doc["multiset"], f"{path}: multiset")
         return builtin_kernel(model.alphabet, size, name, target)
     for key in ("arity", "entries"):
         if key not in doc:
@@ -124,7 +124,7 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
     for i, entry in enumerate(doc["entries"]):
         if not isinstance(entry, dict) or "multiset" not in entry or "value" not in entry:
             raise ParseError(f"{path}: entries[{i}] needs multiset and value, not {entry!r}")
-        labels = _expand_multiset(entry["multiset"], path)
+        labels = _expand_multiset(entry["multiset"], f"{path}: entries[{i}].multiset")
         entries.append((labels, _rational(entry["value"], f"{path}: entries[{i}].value")))
     return from_table(model.alphabet, _arity(doc, path), entries)
 
@@ -136,13 +136,13 @@ def _arity(doc, path) -> int:
     return value
 
 
-def _expand_multiset(doc, path) -> tuple:
+def _expand_multiset(doc, where: str) -> tuple:
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: multiset must map labels to counts")
+        raise ParseError(f"{where}: must map labels to counts, not {doc!r}")
     labels = []
     for label, count in doc.items():
-        if not isinstance(count, int) or count < 0:
-            raise ParseError(f"{path}: bad multiplicity for {label!r}")
+        if type(count) is not int or count < 0:  # bool is a subclass of int
+            raise ParseError(f"{where}: bad multiplicity for {label!r}: {count!r}")
         labels.extend([label] * count)
     return tuple(labels)
 

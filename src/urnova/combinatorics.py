@@ -57,11 +57,6 @@ def permutation_count(ms) -> int:
     return out
 
 
-def index_subsets(n: int, k: int):
-    """All increasing k-tuples of positions from range(n)."""
-    return itertools.combinations(range(n), k)
-
-
 def sub_multisets(ms, k: int) -> list:
     """Each distinct size-k sub-multiset of a canonical multiset, with the
     number of k-subsets of positions that select it: prod_a binomial(n_a, k_a).
@@ -81,8 +76,8 @@ def sub_multisets(ms, k: int) -> list:
 
 def sub_multiset_sum(table, ms, k: int) -> Fraction:
     """Sum of table[sub] over every k-subset of the positions of ms, one
-    lookup per distinct sub-multiset (the plain index_subsets sum adds
-    binomial(len(ms), k) terms)."""
+    lookup per distinct sub-multiset (the plain sum over k-subsets of
+    positions adds binomial(len(ms), k) terms)."""
     return sum((mult * table[sub] for sub, mult in sub_multisets(ms, k)), Fraction(0))
 
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra over rationals: RREF, null spaces, linear solves.
+"""Exact linear algebra over rationals: RREF and null spaces.
 
 Matrices are lists of lists of Fraction; rows are copied before elimination.
 """
@@ -57,18 +57,3 @@ def nullspace(matrix, ncols=None):
         basis.append([x / lead for x in v])
     return basis
 
-
-def solve_consistent(matrix, rhs):
-    """One solution of A x = b for a consistent (possibly singular) system.
-
-    Free variables are set to 0. Raises ValueError if inconsistent.
-    """
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0])
-    rows, pivots = rref(aug)
-    if ncols in pivots:
-        raise ValueError("inconsistent linear system")
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][ncols]
-    return x

@@ -11,17 +11,19 @@ Two families are provided:
 
 All probabilities are ``fractions.Fraction``; floats never enter the law.
 Models are immutable and hashable.  Each instance carries its own lazily
-filled caches (size laws, diagonal families, sampling laws); they live in
-the instance dictionary and take no part in equality or hashing.
+filled caches (size laws, diagonal families); they live in the instance
+dictionary and take no part in equality or hashing.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import Optional
 
@@ -99,14 +101,6 @@ class Alphabet:
 
     def multisets(self, size: int):
         return multisets(self.labels, size)
-
-
-def _draw_from_cumulative(cumulative, u: int) -> str:
-    # u is uniform on [0, 2**64); pick first label with u/2**64 < cum.
-    for label, num_shifted, den in cumulative:
-        if u * den < num_shifted:
-            return label
-    return cumulative[-1][0]
 
 
 def _rising(x: int, step: int, n: int) -> list:
@@ -298,35 +292,27 @@ class UrnModel(_Law):
 
     # -- sampling --------------------------------------------------------------
 
-    @cached_property
-    def _cumulative_laws(self) -> dict:
-        """Inverse-CDF tables of the predictive law, keyed by the observed
-        multiset: (label, cumulative numerator << 64, denominator) for each
-        label of positive mass."""
-        return {}
-
-    def _cumulative_law(self, observed: tuple) -> tuple:
-        cum_law = self._cumulative_laws.get(observed)
-        if cum_law is None:
-            cum = Fraction(0)
-            out = []
-            for label, p in self.predictive(observed).items():
-                if p == 0:
-                    continue
-                cum += p
-                out.append((label, cum.numerator << 64, cum.denominator))
-            cum_law = self._cumulative_laws[observed] = tuple(out)
-        return cum_law
-
     def sample(self, n: int, seed: int) -> tuple:
-        """Draw n labels sequentially; deterministic for a given 64-bit seed."""
+        """Draw n labels sequentially; deterministic for a given 64-bit seed.
+
+        The urn holds the integer weights A_a + C*n_a of ``_integer_weights``,
+        which sum to A + C*m after m draws.  Each draw takes u = 64 random
+        bits, sets t = floor(u * total / 2**64) and picks the first label
+        whose cumulative weight exceeds t: the predictive law's inverse CDF
+        at u / 2**64, exactly, and never a label of zero weight."""
         if n > self.length:
             raise LengthExceeded(f"cannot draw {n} > length {self.length}")
         rng = random.Random(seed)
+        weights, step = self._integer_weights
+        weights = list(weights)
+        total = sum(weights)
         out = []
         for _ in range(n):
-            cum = self._cumulative_law(self.alphabet.canon(out))
-            out.append(_draw_from_cumulative(cum, rng.getrandbits(64)))
+            t = (rng.getrandbits(64) * total) >> 64
+            i = bisect_right(list(accumulate(weights)), t)
+            weights[i] += step
+            total += step
+            out.append(self.alphabet.labels[i])
         return tuple(out)
 
 

@@ -1,7 +1,10 @@
 """Shared test utilities: seeded random kernels, a grid of models covering
-every replacement regime, and independent projection oracles (Gram matrix,
-i.i.d. inclusion-exclusion) used to cross-check the decomposition."""
+every replacement regime, independent projection oracles (Gram matrix,
+i.i.d. inclusion-exclusion) used to cross-check the decomposition, and a
+step-by-step reference for the sampling stream."""
 
+import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -15,7 +18,7 @@ from urnova import (
     ustatistic,
 )
 from urnova.combinatorics import permutation_count, prod
-from urnova.linalg import solve_consistent
+from urnova.linalg import rref
 
 LABELED = [("u", 0), ("v", 1), ("w", 2), ("x", 3)]
 
@@ -66,6 +69,22 @@ def values_agree(model, left, right, size):
 
 
 # -- independent oracles -------------------------------------------------------
+
+def solve_consistent(matrix, rhs):
+    """One solution of A x = b for a consistent (possibly singular) system.
+
+    Free variables are set to 0. Raises ValueError if inconsistent.
+    """
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    ncols = len(matrix[0])
+    rows, pivots = rref(aug)
+    if ncols in pivots:
+        raise ValueError("inconsistent linear system")
+    x = [F(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][ncols]
+    return x
+
 
 def gram_projection(model, statistic, level):
     """Projection of an arity-M statistic onto the span of U-statistics with
@@ -136,3 +155,24 @@ def iid_level_kernels(model, statistic):
             entries.append((ms, value))
         kernels.append(from_table(model.alphabet, s, dict(entries)))
     return kernels
+
+
+def sample_reference(model, n, seed):
+    """The `mt19937-cdf64` stream in Fractions, one predictive step at a
+    time: each draw takes 64 random bits u from random.Random(seed) and picks
+    the first label, among those with positive predictive mass
+    (alpha_a + c n_a) / (alpha + c t), whose cumulative mass exceeds u / 2**64."""
+    rng = random.Random(seed)
+    seen = Counter()
+    out = []
+    for t in range(n):
+        u = F(rng.getrandbits(64), 2**64)
+        cum = F(0)
+        for label in model.alphabet.labels:
+            p = (model.alpha_of(label) + model.c * seen[label]) / (model.alpha_total + model.c * t)
+            cum += p
+            if p and u < cum:
+                break
+        seen[label] += 1
+        out.append(label)
+    return tuple(out)

@@ -345,6 +345,9 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize("doc, field, value", [
         ({"arity": 2, "entries": 5}, "entries", 5),
         ({"arity": 2, "entries": [5]}, "entries[0]", 5),
+        ({"arity": 2, "entries": [{"multiset": {"a": 1, "b": True}, "value": "1"}]},
+         "entries[0].multiset", True),
+        ({"builtin": "indicator", "arity": 2, "multiset": {"a": True, "b": 1}}, "multiset", True),
     ])
     def test_kernel_entries_exit_2(self, tmp_path, capsys, doc, field, value):
         model = write_json(tmp_path / "m.json", polya_doc())
@@ -418,7 +421,8 @@ JSON = st.recursive(
     ),
     max_leaves=6,
 )
-MULTISETS = st.one_of(st.dictionaries(LABELS, st.integers(-1, 3), max_size=3), JSON)
+MULTISETS = st.one_of(
+    st.dictionaries(LABELS, st.one_of(st.integers(-1, 3), st.booleans()), max_size=3), JSON)
 # what a corrupted field of each document is replaced by
 MODEL_FIELDS = {
     "symbols": st.one_of(JSON, st.lists(st.one_of(

@@ -1,6 +1,7 @@
 """Each fast path of the law engine against the oracle it replaced: the
 integer size laws against the ordered pmf, the tower-built diagonal family
-against posterior enumeration, and the grouped sub-multiset sums against
+against posterior enumeration, the integer-weight sampling walk against a
+step-by-step Fraction inverse CDF, and the grouped sub-multiset sums against
 plain sums over index subsets.  Models span every replacement regime, with
 zero weights allowed so that letters of zero predictive mass occur."""
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_kernel
+from helpers import random_kernel, sample_reference
 from urnova import (
     MixtureModel,
     cond_expectation,
@@ -27,12 +28,7 @@ from urnova import (
     urn_model,
     ustatistic,
 )
-from urnova.combinatorics import (
-    index_subsets,
-    permutation_count,
-    sub_multiset_sum,
-    sub_multisets,
-)
+from urnova.combinatorics import permutation_count, sub_multiset_sum, sub_multisets
 from urnova.errors import (
     DegenerateAssumption,
     LengthExceeded,
@@ -154,6 +150,18 @@ class TestTowerFamily:
         statistic = random_kernel(random.Random(1), model.alphabet, 2)
         fam = diagonal_family(model, statistic)
         assert model.diagonal_families == {statistic: fam}
+
+
+class TestSampling:
+    @given(model=models(urn_only=True), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_walk_equals_fraction_inverse_cdf(self, model, seed):
+        assert model.sample(model.length, seed) == sample_reference(model, model.length, seed)
+
+
+def index_subsets(n, k):
+    """All increasing k-tuples of positions from range(n)."""
+    return combinations(range(n), k)
 
 
 def plain_sum(table, ms, k):

@@ -185,6 +185,20 @@ class TestSampling:
         with pytest.raises(LengthExceeded):
             polya(2).sample(3, 1)
 
+    @pytest.mark.parametrize("model, seed, expected", [
+        (urn_model(["a", "b", "c", "d"], {"a": F(1, 2), "b": 0, "c": F(3, 2), "d": 2}, 1, 10),
+         2024, "c c c d d d d d d c"),
+        (urn_model(["a", "b", "c"], {"a": 2, "b": 1, "c": 3}, -1, 6), 7, "c a a c b c"),
+        (urn_model(["x", "y", "z"], {"x": F(1, 3), "y": F(2, 7), "z": 1}, F(5, 11), 8),
+         31337, "z z z y y y y z"),
+        (urn_model(["a", "b"], {"a": F(3, 2), "b": F(1, 2)}, F(-1, 2), 4), 99, "a a a b"),
+        (urn_model(["0", "1"], {"0": 1, "1": 3}, 0, 12), 2**64 - 1,
+         "0 1 1 0 1 1 1 0 0 1 1 1"),
+    ])
+    def test_golden_streams(self, model, seed, expected):
+        # the mt19937-cdf64 stream is part of the output contract
+        assert " ".join(model.sample(model.length, seed)) == expected
+
 
 class TestMixture:
     def test_single_one(self):
