@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import binomial, falling, prod, star_binomial
+from .combinatorics import binomial, falling, prod, rising, star_binomial
 from .errors import DegenerateAssumption, ZeroDenominator
 
 
@@ -87,13 +87,29 @@ class CoefficientTable:
 
 
 def _compute_maps(M: int, alpha_total, c):
-    """Uncached construction of the five coefficient maps; each phi entry
-    is computed once and psi is summed from them."""
+    """Uncached construction of the five coefficient maps.
+
+    With rate c/alpha(A) = P/Q in lowest terms, alpha + c*t is a multiple
+    of Q + P*t, so every phi entry is a ratio of the integer products
+    R[x][k] = prod_{t=x}^{x+k-1} (Q + P*t):
+    phi(n, m, r, p) = P^p * falling(m-r, p) * R[r+p][m-r-p] / R[n][m-r].
+    Each entry is built once, in O(1), and psi is summed from them.
+    """
+    rate = Fraction(c) / Fraction(alpha_total)
+    P, Q = rate.numerator, rate.denominator
+    R = [rising(Q + P * x, P, M) for x in range(M + 1)]
     memo = {}
 
-    def phi_at(*key):
+    def phi_at(n, m, r, p):
+        key = (n, m, r, p)
         if key not in memo:
-            memo[key] = phi_coeff(*key, alpha_total, c)
+            den = R[n][m - r]
+            if den == 0:
+                raise ZeroDenominator(
+                    f"vanishing denominator in coefficient table at M = {M}: "
+                    f"alpha(A) + c*t = 0 at t = {-Q // P} (rate c/alpha(A) = {rate})"
+                )
+            memo[key] = Fraction(P**p * falling(m - r, p) * R[r + p][m - r - p], den)
         return memo[key]
 
     # psi reads only phi entries whose denominator factors alpha + c*t have
@@ -144,7 +160,7 @@ def _compute_maps(M: int, alpha_total, c):
     return phi, psi, gamma, theta, theta_star
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _maps_by_rate(M: int, rate: Fraction):
     return _compute_maps(M, Fraction(1), rate)
 

@@ -32,6 +32,14 @@ def falling(a: int, p: int) -> int:
     return out
 
 
+def rising(x: int, step: int, n: int) -> list:
+    """Partial products [1, x, x(x+step), ...] up to n factors."""
+    out = [1]
+    for j in range(n):
+        out.append(out[-1] * (x + j * step))
+    return out
+
+
 def prod(items) -> Fraction:
     out = Fraction(1)
     for x in items:
@@ -57,10 +65,12 @@ def permutation_count(ms) -> int:
     return out
 
 
-def sub_multisets(ms, k: int) -> list:
-    """Each distinct size-k sub-multiset of a canonical multiset, with the
-    number of k-subsets of positions that select it: prod_a binomial(n_a, k_a).
-    Sub-multisets come out canonical too."""
+def sub_multisets(ms, k: int, top: int = None) -> list:
+    """Each distinct sub-multiset of a canonical multiset with k to top
+    labels (top defaults to k), with the number of subsets of positions that
+    select it: prod_a binomial(n_a, k_a).  Sub-multisets come out canonical
+    too."""
+    top = k if top is None else top
     picks = [((), 1)]
     room = len(ms)  # positions after the current run of equal labels
     for label, run in itertools.groupby(ms):
@@ -69,7 +79,7 @@ def sub_multisets(ms, k: int) -> list:
         picks = [
             (sub + (label,) * j, mult * comb(n, j))
             for sub, mult in picks
-            for j in range(max(0, k - len(sub) - room), min(n, k - len(sub)) + 1)
+            for j in range(max(0, k - len(sub) - room), min(n, top - len(sub)) + 1)
         ]
     return picks if 0 <= k <= len(ms) else []
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .coefficients import phi_coeff, psi_coeff
 from .combinatorics import binomial, prod
@@ -49,48 +51,70 @@ def cond_expectation(model, statistic: SymmetricKernel, common, extra=()) -> Fra
 @dataclass(frozen=True)
 class DiagonalFamily:
     """The conditionals of a statistic given q of its own coordinates,
-    q = 0 .. arity, tabulated on the model's support multisets."""
+    q = 0 .. arity, tabulated on the model's support multisets.  Level q
+    is kept as integer numerators nums[q] = {multiset: N} over one integer
+    denominator dens[q]."""
 
     model: object
     statistic: SymmetricKernel
-    levels: tuple  # levels[q] = {multiset: value}
+    nums: tuple
+    dens: tuple
+
+    @cached_property
+    def levels(self) -> tuple:
+        """levels[q] = {multiset: value}, the exact values of level q."""
+        return tuple({ms: Fraction(n, den) for ms, n in level.items()}
+                     for level, den in zip(self.nums, self.dens))
 
     def value(self, labels) -> Fraction:
         key = self.model.alphabet.canon(labels)
-        return self.levels[len(key)][key]
+        return Fraction(self.nums[len(key)][key], self.dens[len(key)])
 
     @property
     def mean(self) -> Fraction:
-        return self.levels[0][()]
+        return Fraction(self.nums[0][()], self.dens[0])
 
 
 def diagonal_family(model, statistic: SymmetricKernel) -> DiagonalFamily:
     """Tabulate all diagonal conditionals of a statistic; cached on the
     model, keyed by the statistic.
 
-    The top level is the statistic on its support.  Each level below comes
-    from the one above by the tower property,
-    E[T | x] = sum_a P(a | x) * E[T | x + a], over the letters of positive
-    predictive mass (x + a is then in the support too).
+    The top level is the statistic on its support, over the least common
+    denominator of its values.  Each level below comes from the one above
+    by the tower property, E[T | x] = sum_a P(a | x) * E[T | x + a], on
+    integers: with P(a | x) = w_a(x) / d(x) from the model's
+    ``_step_weights`` and L the lcm of d(x) over the level,
+    N_q(x) = sum_a w_a(x) * (L / d(x)) * N_{q+1}(x + a) and
+    D_q = L * D_{q+1}.  Letters of zero weight are skipped (x + a is then
+    off the support); the others give support multisets x + a.
     """
     families = model.diagonal_families
     fam = families.get(statistic)
     if fam is None:
         check_horizon(model, statistic.arity)
-        canon = model.alphabet.canon
-        above = {ms: statistic.value(ms) for ms in model.support_multisets(statistic.arity)}
-        levels = [above]
+        labels = model.alphabet.labels
+        top = {ms: statistic.table[ms] for ms in model.support_multisets(statistic.arity)}
+        den = lcm(*(v.denominator for v in top.values()))
+        above = {ms: v.numerator * (den // v.denominator) for ms, v in top.items()}
+        nums, dens = [above], [den]
         for q in range(statistic.arity - 1, -1, -1):
-            table = {}
-            for ms in model.support_multisets(q):
-                total = Fraction(0)
-                for label, p in model.predictive(ms).items():
-                    if p:
-                        total += p * above[canon(ms + (label,))]
-                table[ms] = total
-            levels.append(table)
-            above = table
-        fam = families[statistic] = DiagonalFamily(model, statistic, tuple(reversed(levels)))
+            steps = {ms: model._step_weights(ms) for ms in model.support_multisets(q)}
+            step_den = lcm(*(d for _, d in steps.values()))
+            level = {}
+            for ms, (weights, d) in steps.items():
+                scale = step_den // d
+                total = pos = 0
+                for label, w in zip(labels, weights):
+                    while pos < q and ms[pos] == label:  # insert label in canonical place
+                        pos += 1
+                    if w:
+                        total += w * above[ms[:pos] + (label,) + ms[pos:]]
+                level[ms] = total * scale
+            above = level
+            nums.append(level)
+            dens.append(step_den * dens[-1])
+        fam = families[statistic] = DiagonalFamily(
+            model, statistic, tuple(reversed(nums)), tuple(reversed(dens)))
     return fam
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .coefficients import (
     gamma_coeff,
@@ -18,7 +19,7 @@ from .coefficients import (
     pair_covariance_factor,
     theta_table,
 )
-from .combinatorics import binomial, sub_multiset_sum
+from .combinatorics import binomial, sub_multiset_sum, sub_multisets
 from .conditional import diagonal_family
 from .errors import (
     ArityMismatch,
@@ -63,16 +64,24 @@ def _centered_family(model, statistic):
 def _combine_levels(model, fam, coefs: dict, size: int) -> SymmetricKernel:
     """Kernel of the given size: zero off the model's support, and on it
     sum_a coefs[a] * (sum of level a of the family over the size-a
-    sub-multisets)."""
+    sub-multisets).  Each coefs[a] / dens[a] is written as K_a / Q over one
+    denominator Q, so one pass over the sub-multisets of every needed size
+    sums on integers, and each value is a single Fraction."""
+    scaled = {a: Fraction(coef) / fam.dens[a] for a, coef in coefs.items() if coef}
+    Q = lcm(*(f.denominator for f in scaled.values()))
+    K = {a: f.numerator * (Q // f.denominator) for a, f in scaled.items()}
+    lo, hi = min(K, default=1), max(K, default=0)
+    nums = fam.nums
     support = set(model.support_multisets(size))
     entries = []
     for ms in model.alphabet.multisets(size):
-        value = Fraction(0)
-        if ms in support:
-            for a, coef in coefs.items():
-                if coef:
-                    value += coef * sub_multiset_sum(fam.levels[a], ms, a)
-        entries.append((ms, value))
+        total = 0
+        if K and ms in support:
+            sums = [0] * (hi + 1)
+            for sub, mult in sub_multisets(ms, lo, hi):
+                sums[len(sub)] += mult * nums[len(sub)][sub]
+            total = sum(k * sums[a] for a, k in K.items())
+        entries.append((ms, Fraction(total, Q)))
     return SymmetricKernel(size, model.alphabet, tuple(entries))
 
 
@@ -121,7 +130,7 @@ def decompose(model, statistic: SymmetricKernel, horizon: int) -> HoeffdingDecom
 def is_degenerate(model, kernel: SymmetricKernel) -> bool:
     """True when conditioning on all but one of the kernel's coordinates
     kills it on the model's support (level arity - 1 of its family)."""
-    return not any(diagonal_family(model, kernel).levels[kernel.arity - 1].values())
+    return not any(diagonal_family(model, kernel).nums[kernel.arity - 1].values())
 
 
 def project_degenerate_ustat(model, kernel: SymmetricKernel, horizon: int) -> SymmetricKernel:

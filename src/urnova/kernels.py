@@ -40,6 +40,15 @@ class SymmetricKernel:
     def table(self) -> dict:
         return dict(self.entries)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.arity, self.alphabet, self.entries))
+
+    def __hash__(self) -> int:
+        # the dataclass hash of the fields, computed once: kernels key the
+        # per-model diagonal-family caches
+        return self._hash
+
     def value(self, labels) -> Fraction:
         """Evaluate on a tuple or multiset of labels."""
         if len(labels) != self.arity:

@@ -27,7 +27,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Optional
 
-from .combinatorics import binomial, multisets, permutation_count
+from .combinatorics import binomial, multisets, permutation_count, rising
 from .errors import (
     EmptyMeasure,
     ExhaustedUrn,
@@ -103,21 +103,14 @@ class Alphabet:
         return multisets(self.labels, size)
 
 
-def _rising(x: int, step: int, n: int) -> list:
-    """Partial products [1, x, x(x+step), ...] up to n factors."""
-    out = [1]
-    for j in range(n):
-        out.append(out[-1] * (x + j * step))
-    return out
-
-
 class _Law:
     """Laws and caches shared by both model families.
 
     Each family defines one law primitive, ``_build_size_law(k, observed)``:
     the law of the multiset of the next k draws after an observed multiset.
     ``size_law(n)`` is that law with nothing observed, computed once per
-    size; ``extension_law`` and ``predictive`` read the primitive too.
+    size; ``extension_law``, ``predictive`` and ``_step_weights`` read the
+    primitive too.
     ``diagonal_families`` holds the diagonal families built by
     :func:`urnova.conditional.diagonal_family`, keyed by statistic.
     Returned tables are shared: read them, never mutate them.
@@ -162,6 +155,14 @@ class _Law:
         ms = self.alphabet.canon(observed)
         check_horizon(self, len(ms) + 1)
         return {ext[0]: p for ext, p in self._build_size_law(1, ms).items()}
+
+    def _step_weights(self, ms) -> tuple:
+        """The predictive law after a canonical multiset as integers: the
+        weights of the labels in alphabet order, and their common
+        denominator."""
+        law = self._build_size_law(1, ms).values()
+        den = lcm(*(p.denominator for p in law))
+        return tuple(p.numerator * (den // p.denominator) for p in law), den
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,14 @@ class UrnModel(_Law):
         den = lcm(self.c.denominator, *(w.denominator for _, w in self.alpha))
         return tuple(int(w * den) for _, w in self.alpha), int(self.c * den)
 
+    def _step_weights(self, ms) -> tuple:
+        """The integer weights A_a + C*n_a after a canonical multiset, and
+        their total A + C*len(ms)."""
+        weights, step = self._integer_weights
+        cnt = Counter(ms)
+        return (tuple(w + step * cnt[label] for label, w in zip(self.alphabet.labels, weights)),
+                sum(weights) + step * len(ms))
+
     def joint_pmf(self, seq) -> Fraction:
         """Probability of an ordered sequence of labels; the step-by-step
         oracle for the tabulated laws."""
@@ -273,20 +282,19 @@ class UrnModel(_Law):
         multiset, on integer numerators: with A_a = D*alpha_a + C*n_a,
         P(ext) = multinomial(ext) * prod_a prod_{j<e_a} (A_a + jC)
                  / prod_{i<k} (A + iC)."""
-        weights, step = self._integer_weights
-        cnt = Counter(observed)
-        rising = {}
+        weights, total = self._step_weights(observed)
+        step = self._integer_weights[1]
+        factors = {}
         for label, w in zip(self.alphabet.labels, weights):
-            w += step * cnt[label]
             if w < 0:
                 raise ValidationError(f"observing {observed!r} exhausts {label!r}")
-            rising[label] = _rising(w, step, k)
-        den = _rising(sum(weights) + step * len(observed), step, k)[k]
+            factors[label] = rising(w, step, k)
+        den = rising(total, step, k)[k]
         law = {}
         for ext in self.alphabet.multisets(k):
             num = permutation_count(ext)
             for label, e in Counter(ext).items():
-                num *= rising[label][e]
+                num *= factors[label][e]
             law[ext] = Fraction(num, den)
         return law
 

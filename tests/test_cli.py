@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urnova import Alphabet, Symbol, UrnModel, expectation, from_table, ustatistic
+from urnova.coefficients import phi_coeff, psi_coeff
 from urnova.conditional import cond_expectation, symmetrized_offdiagonal
 from urnova.cli import kernel_to_json, main, parse_kernel_file, parse_model_file
 from urnova.errors import ExhaustedUrn, ParseError, ValidationError
@@ -164,6 +165,17 @@ class TestCommands:
         doc["alpha"] = {"a": "0", "b": "0"}
         broken = write_json(tmp_path / "broken.json", doc)
         assert main(["validate", "--model", broken]) == 3
+
+    def test_vanishing_coefficient_denominator_names_M_rate_and_t(self, tmp_path, capsys):
+        # alpha(A) = 3, c = -1: alpha(A) + c*t vanishes at t = 3 < M
+        doc = polya_doc()
+        doc.update(alpha={"a": "2", "b": "1"}, c="-1", length=2)
+        model = write_json(tmp_path / "m.json", doc)
+        assert main(["coeffs", "--model", model, "--M", "5",
+                     "--out", str(tmp_path / "c.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "vanishing denominator in coefficient table" in err
+        assert "M = 5" in err and "t = 3" in err and "rate c/alpha(A) = -1/3" in err
 
     def test_sample_determinism(self, tmp_path):
         model = write_json(tmp_path / "m.json", polya_doc())
@@ -385,7 +397,8 @@ class TestOracleIsolation:
         def forbidden(*args, **kwargs):
             raise AssertionError("an oracle was called")
 
-        for oracle in (cond_expectation, symmetrized_offdiagonal, dirichlet_moment):
+        for oracle in (cond_expectation, symmetrized_offdiagonal, dirichlet_moment,
+                       phi_coeff, psi_coeff):
             for name, module in list(sys.modules.items()):
                 if name == "urnova" or name.startswith("urnova."):
                     for key, value in list(vars(module).items()):

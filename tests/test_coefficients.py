@@ -138,6 +138,62 @@ class TestThetaTable:
         assert theta_table(4, F(1), F(1, 2)).theta == theta_table(4, F(2), F(1)).theta
 
 
+def oracle_phi(M, rate):
+    """The phi map from phi_coeff, behind the checks the table makes first:
+    every psi entry (ZeroDenominator), then the pivots
+    (DegenerateAssumption)."""
+    one = F(1)
+    for n in range(1, M + 1):
+        for m in range(1, n + 1):
+            for q in range(m + 1):
+                psi_coeff(M, q, n, m, one, rate)
+    if assumption_check(M, one, rate):
+        raise DegenerateAssumption("vanishing pivot")
+    return {
+        (n, m, r, p): phi_coeff(n, m, r, p, one, rate)
+        for n in range(1, M + 1) for m in range(1, n + 1)
+        for r in range(m + 1) for p in range(m - r + 1)
+    }
+
+
+def check_phi_table(M, rate):
+    """The integer phi table equals phi_coeff entry by entry, or raises the
+    oracle's exception class; returns that class, or None."""
+    try:
+        expected = oracle_phi(M, rate)
+    except (ZeroDenominator, DegenerateAssumption) as exc:
+        with pytest.raises((ZeroDenominator, DegenerateAssumption)) as info:
+            _compute_maps(M, 1, rate)
+        assert type(info.value) is type(exc)
+        return type(exc)
+    phi = _compute_maps(M, 1, rate)[0]
+    assert list(phi) == list(expected)
+    for key, value in expected.items():
+        assert phi[key] == value, key
+    return None
+
+
+RATES = st.one_of(
+    st.fractions(min_value=F(1, 9), max_value=5, max_denominator=9),  # c > 0
+    st.just(F(0)),  # c = 0
+    st.integers(1, 17).map(lambda S: F(-1, S)),  # c = -1 on integer alpha
+    st.fractions(min_value=-2, max_value=F(-1, 9), max_denominator=9),  # fractional c < 0
+)
+
+
+class TestIntegerPhiTable:
+    @given(M=st.integers(1, 8), rate=RATES)
+    @settings(max_examples=120, deadline=None)
+    def test_equals_phi_coeff(self, M, rate):
+        check_phi_table(M, rate)
+
+    def test_short_populations_raise_like_the_oracle(self):
+        # c = -1 on a population of S balls: every pivot and zero-denominator
+        # case up to M = 8 occurs among S = 1 .. 2M
+        raised = {check_phi_table(M, F(-1, S)) for M in range(1, 9) for S in range(1, 2 * M + 1)}
+        assert raised == {None, ZeroDenominator, DegenerateAssumption}
+
+
 class TestCovarianceWeights:
     def test_pair_factor_full_overlap(self):
         assert pair_covariance_factor(3, 3, F(2), F(5)) == 1

@@ -145,6 +145,15 @@ class TestTowerFamily:
                          for ms in model.support_multisets(arity - 1))
             assert is_degenerate(model, kernel) == oracle
 
+    @given(model=models(), seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_levels_are_kept_as_integer_numerators(self, model, seed, data):
+        arity = data.draw(st.integers(1, min(3, horizon(model))))
+        fam = diagonal_family(model, random_kernel(random.Random(seed), model.alphabet, arity))
+        assert len(fam.nums) == len(fam.dens) == arity + 1
+        assert all(type(den) is int and den > 0 for den in fam.dens)
+        assert all(type(num) is int for level in fam.nums for num in level.values())
+
     def test_cached_on_the_model(self):
         model = urn_model(["a", "b"], {"a": 1, "b": 2}, 1, 3)
         statistic = random_kernel(random.Random(1), model.alphabet, 2)
@@ -175,6 +184,15 @@ class TestSubMultisets:
         ms = tuple(sorted(ms))
         expected = Counter(combinations(ms, k)) if k >= 0 else Counter()
         assert dict(sub_multisets(ms, k)) == dict(expected)
+
+    @given(ms=st.lists(st.sampled_from("abcd"), max_size=7), k=st.integers(0, 8),
+           extra=st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_size_ranges_count_index_subsets(self, ms, k, extra):
+        ms = tuple(sorted(ms))
+        expected = Counter() if k > len(ms) else Counter(
+            sub for j in range(k, k + extra + 1) for sub in combinations(ms, j))
+        assert dict(sub_multisets(ms, k, k + extra)) == dict(expected)
 
     @given(ms=st.lists(st.sampled_from("abc"), max_size=6), seed=st.integers(0, 2**16))
     @settings(max_examples=100, deadline=None)
