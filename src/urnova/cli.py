@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .coefficients import theta_table
+from .combinatorics import permutation_count
 from .decomposition import (
     covariance_levels,
     decompose,
@@ -206,19 +207,13 @@ def cmd_pmf(args):
         ["sequence", "ordered_pmf", "multiset_weight"],
         rational_columns=("ordered_pmf", "multiset_weight"),
     )
-    if args.seq:
-        seq = tuple(args.seq.split(","))
+    sequences = [tuple(args.seq.split(","))] if args.seq else model.alphabet.multisets(args.M)
+    for seq in sequences:
+        weight = model.multiset_weight(seq)
         rep.add(
             sequence=" ".join(seq),
-            ordered_pmf=model.joint_pmf(seq),
-            multiset_weight=model.multiset_weight(seq),
-        )
-        return rep
-    for ms in model.alphabet.multisets(args.M):
-        rep.add(
-            sequence=" ".join(ms),
-            ordered_pmf=model.joint_pmf(ms),
-            multiset_weight=model.multiset_weight(ms),
+            ordered_pmf=weight / permutation_count(seq),
+            multiset_weight=weight,
         )
     return rep
 

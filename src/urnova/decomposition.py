@@ -154,6 +154,8 @@ def degenerate_cov(model, left: SymmetricKernel, right: SymmetricKernel,
     if left.arity != right.arity:
         raise ArityMismatch("kernels must share an arity")
     n = left.arity
+    if not 0 <= overlap <= n:
+        raise IndexOutOfRange(f"overlap {overlap} outside 0..{n} for kernels of arity {n}")
     check_horizon(model, 2 * n - overlap)
     if not (is_degenerate(model, left) and is_degenerate(model, right)):
         raise DegeneracyViolated("both kernels must be completely degenerate")

@@ -1,12 +1,12 @@
 """Tilted copies of Polya-type urn laws that keep all small marginals.
 
-For a model with positive replacement constant, the directing random
-measure has exactly computable mixed moments, so tilting the law by
-1 + scale * (degenerate polynomial of the directing measure) is a purely
-rational operation: every finite marginal of the tilted law is the base
-marginal plus a finite sum of moment terms.  Degeneracy of the tilt kernel
-makes every marginal of dimension <= k coincide with the base, while the
-(k+1)-marginals move.
+For a model with positive replacement constant, every mixed moment of the
+directing measure is an ordered probability of the same urn, so tilting the
+law by 1 + scale * (degenerate polynomial of the directing measure) needs
+nothing beyond the urn's law: a tilted marginal is read from its law
+primitive (``dirichlet_moment`` is the rising-factorial oracle).  Degeneracy
+of the tilt kernel makes every marginal of dimension <= k coincide with the
+base, while the (k+1)-marginals move.
 """
 
 from __future__ import annotations
@@ -73,37 +73,26 @@ class TiltedModel:
         return self.scale * self.coefficient_bound
 
     @cached_property
-    def _moment_table(self):
-        """Rising factorials (alpha_a/c)^(k) per label and (alpha/c)^(k), for
-        every order k a moment of :meth:`marginal_pmf` can reach, and the
-        tilt's nonzero terms as (label counts, permutation count * value)."""
-        base = self.base
-        if base.c <= 0:
-            raise RequiresPositiveC("directing-measure moments need c > 0")
-        orders = range(base.length + self.tilt.arity + 1)
-        per_label = {label: [_rising(w / base.c, k) for k in orders] for label, w in base.alpha}
-        total = [_rising(base.alpha_total / base.c, k) for k in orders]
-        terms = tuple(
-            (Counter(ms), permutation_count(ms) * v)
-            for ms, v in self.tilt.entries if v != 0
-        )
-        return per_label, total, terms
+    def _extended(self) -> UrnModel:
+        """The base urn run ``tilt.arity`` draws past its horizon, so every
+        sequence of the base can be followed by one tilt argument block."""
+        return replace(self.base, length=self.base.length + self.tilt.arity)
 
     def marginal_pmf(self, seq) -> Fraction:
-        """Exact probability of an ordered sequence under the tilted law;
-        each moment term equals ``dirichlet_moment(base, seq + ms)``."""
+        """Exact probability of an ordered sequence under the tilted law:
+        P(seq) * (1 + scale * E[tilt(next arity draws) | seq]), since the
+        moment E[D^seq D^ms] is the probability of seq followed by ms."""
         seq = tuple(seq)
         if len(seq) > self.base.length:
             raise LengthExceeded("sequence longer than the base horizon")
-        correction = Fraction(0)
-        if self.scale != 0:
-            per_label, total, terms = self._moment_table
-            counts = Counter(self.base.alphabet.canon(seq))
-            for ms_counts, coef in terms:
-                num = prod(per_label[label][k] for label, k in (counts + ms_counts).items())
-                correction += coef * num
-            correction /= total[len(seq) + self.tilt.arity]
-        return _base_pmf(self.base, seq) + self.scale * correction
+        if self.scale != 0 and self.base.c <= 0:
+            raise RequiresPositiveC("directing-measure moments need c > 0")
+        p = _base_pmf(self.base, seq)
+        if p == 0 or self.scale == 0:
+            return p
+        table = self.tilt.table
+        law = self._extended.extension_law(seq, self.tilt.arity)
+        return p * (1 + self.scale * sum(w * table[ext] for ext, w in law.items()))
 
 
 def _base_pmf(base: UrnModel, seq) -> Fraction:

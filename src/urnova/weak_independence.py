@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import binomial
-from .conditional import cond_expectation
+from .conditional import diagonal_family
 from .errors import HorizonTooShort, ValidationError
 from .kernels import SymmetricKernel, from_table
 from .linalg import nullspace
@@ -183,15 +183,18 @@ class WitnessReport:
 
 
 def witness_report(epsilon) -> WitnessReport:
-    """Exact Bayes evaluation of the witness kernel's conditionals under
-    the mixture law, next to the closed form they must reproduce."""
+    """The witness kernel's conditionals under the mixture law, next to the
+    closed form they must reproduce: the one-coordinate ones from the
+    diagonal family, the disjoint-coordinate one from the overlap-0
+    functional of the ``check-wi`` sweep."""
     epsilon = Fraction(epsilon)
     mix = MixtureModel(epsilon)
     kernel = witness_kernel(epsilon)
+    family = diagonal_family(mix, kernel)
     return WitnessReport(
         epsilon=epsilon,
-        given_second_zero=cond_expectation(mix, kernel, common=("0",)),
-        given_second_one=cond_expectation(mix, kernel, common=("1",)),
-        given_third_zero=cond_expectation(mix, kernel, common=(), extra=("0",)),
+        given_second_zero=family.value(("0",)),
+        given_second_one=family.value(("1",)),
+        given_third_zero=apply_functional(offdiagonal_functional(mix, ("0",), 0), kernel),
         closed_form=witness_conditional_closed_form(epsilon),
     )

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import sys
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from urnova import Alphabet, Symbol, UrnModel, expectation, from_table, ustatistic
 from urnova.coefficients import phi_coeff, psi_coeff
 from urnova.conditional import cond_expectation, symmetrized_offdiagonal
-from urnova.cli import kernel_to_json, main, parse_kernel_file, parse_model_file
+from urnova.cli import COMMANDS, kernel_to_json, main, parse_kernel_file, parse_model_file
 from urnova.errors import ExhaustedUrn, ParseError, ValidationError
 from urnova.report import Report, format_decimal, render_csv
 from urnova.weak_copy import dirichlet_moment
@@ -229,6 +230,18 @@ class TestCommands:
         lines = open(out).read().splitlines()
         assert lines[1].startswith("overlap,value")
 
+    def test_degenerate_cov_overlap_above_arity_exits_3(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        kernel = write_json(tmp_path / "max.json", {"builtin": "max"})
+        out = str(tmp_path / "d.csv")
+        assert main(["decompose", "--model", model, "--kernel", kernel, "--M", "2",
+                     "--out", out]) == 0
+        level2 = f"{out}.level2.json"
+        assert main(["degenerate-cov", "--model", model, "--kernel", level2,
+                     "--kernel", level2, "--overlap", "7", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "overlap 7" in err and "arity 2" in err
+
     def test_weak_copy_report(self, tmp_path):
         model = write_json(tmp_path / "m.json", polya_doc())
         kpath = write_json(tmp_path / "k.json",
@@ -237,6 +250,57 @@ class TestCommands:
         assert main(["weak-copy", "--model", model, "--kernel", kpath,
                      "--level", "1", "--eta", "1/2", "--out", out]) == 0
         assert "passed=True" in open(out).read()
+
+
+def read_rows(path):
+    """Data rows of a report CSV as dictionaries keyed by the header."""
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    return [dict(zip(lines[1], row)) for row in lines[2:]]
+
+
+PMF_MODELS = {
+    "polya": polya_doc(),
+    "iid": {**polya_doc(), "alpha": {"a": "1/2", "b": "3"}, "c": "0"},
+    "without-replacement": {
+        "symbols": [{"label": "a"}, {"label": "b"}, {"label": "c"}],
+        "alpha": {"a": "3", "b": "0", "c": "2"}, "c": "-1", "length": 5,
+    },
+    "fractional-negative-c": {
+        "symbols": [{"label": "a"}, {"label": "b"}, {"label": "c"}],
+        "alpha": {"a": "3/2", "b": "1", "c": "1/2"}, "c": "-1/2", "length": 4,
+    },
+    "mixture": {"epsilon": "2/3"},
+}
+
+
+class TestPmfCommand:
+    """``pmf`` reads the size law; its ordered column must equal the
+    step-by-step ``joint_pmf`` in every replacement regime."""
+
+    @pytest.mark.parametrize("name", sorted(PMF_MODELS))
+    def test_ordered_pmf_equals_joint_pmf(self, tmp_path, name):
+        path = write_json(tmp_path / "m.json", PMF_MODELS[name])
+        model = parse_model_file(path)
+        out = str(tmp_path / "p.csv")
+        assert main(["pmf", "--model", path, "--M", "3", "--out", out]) == 0
+        rows = read_rows(out)
+        assert [r["sequence"] for r in rows] == [" ".join(ms) for ms in model.alphabet.multisets(3)]
+        for row in rows:
+            assert F(row["ordered_pmf"]) == model.joint_pmf(row["sequence"].split())
+        assert sum(F(r["multiset_weight"]) for r in rows) == 1
+        seq = model.alphabet.labels[::-1] + model.alphabet.labels[:1]
+        assert main(["pmf", "--model", path, "--seq", ",".join(seq), "--out", out]) == 0
+        [row] = read_rows(out)
+        assert F(row["ordered_pmf"]) == model.joint_pmf(seq)
+
+    def test_unknown_label(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        too_long_and_unknown = ",".join(["a"] * 8 + ["z"])
+        assert main(["pmf", "--model", model, "--seq", too_long_and_unknown]) == 3
+        mix = write_json(tmp_path / "mix.json", {"epsilon": "1/2"})
+        assert main(["pmf", "--model", mix, "--seq", "0,x"]) == 3
+        assert "unknown symbol 'x'" in capsys.readouterr().err
 
 
 def meta_hash(path):
@@ -409,15 +473,26 @@ class TestOracleIsolation:
         k_max = write_json(tmp_path / "max.json", {"builtin": "max"})
         k_min = write_json(tmp_path / "min.json", {"builtin": "min"})
         out = str(tmp_path / "o.csv")
-        for argv in (
-            ["decompose", "--kernel", k_max, "--M", "3"],
-            ["covariance", "--kernel", k_max, "--kernel", k_min, "--M", "3"],
-            ["coeffs", "--M", "4"],
-            ["check-wi", "--level", "3"],
-            ["weak-copy", "--kernel", k_max, "--level", "2"],
-            ["sample", "--count", "5", "--seed", "7"],
-        ):
-            assert main([*argv, "--model", model, "--out", out]) == 0, argv
+        runs = (
+            ["validate", "--model", model],
+            ["pmf", "--model", model, "--M", "2"],
+            ["pmf", "--model", model, "--seq", "b,a,b"],
+            ["decompose", "--model", model, "--kernel", k_max, "--M", "3"],
+            # reads the level-2 sidecar the decompose run above writes
+            ["degenerate-cov", "--model", model, "--kernel", f"{out}.level2.json",
+             "--kernel", f"{out}.level2.json"],
+            ["covariance", "--model", model, "--kernel", k_max, "--kernel", k_min, "--M", "3"],
+            ["coeffs", "--model", model, "--M", "4"],
+            ["check-wi", "--model", model, "--level", "3"],
+            ["counterexample", "--epsilon", "1/3"],
+            ["weak-copy", "--model", model, "--kernel", k_max, "--level", "2"],
+            ["sample", "--model", model, "--count", "5", "--seed", "7"],
+            ["zhao-chen", "--M", "6", "--draws", "3"],
+            ["lemma3", "--N", "5"],
+        )
+        assert {argv[0] for argv in runs} == set(COMMANDS)
+        for argv in runs:
+            assert main([*argv, "--out", out]) == 0, argv
 
 
 LABELS = st.sampled_from(["a", "b", "c"])

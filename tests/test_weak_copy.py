@@ -146,8 +146,10 @@ class TestMomentTable:
     def test_marginal_pmf_matches_dirichlet_moments(self, seed, level, size, c, data):
         rng = random.Random(seed)
         labels = ["a", "b", "c"][:size]
-        base = urn_model(labels, {l: F(rng.randint(1, 4), rng.randint(1, 3)) for l in labels},
-                         c, level + 2)
+        # zero weights are valid for c > 0: such a letter is never drawn
+        alpha = {l: F(rng.randint(0, 4), rng.randint(1, 3)) for l in labels}
+        assume(sum(w > 0 for w in alpha.values()) >= 2)
+        base = urn_model(labels, alpha, c, level + 2)
         try:
             tilted = build_weak_copy(base, level, random_kernel(rng, base.alphabet, level + 1),
                                      F(1, 2))

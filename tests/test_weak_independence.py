@@ -182,6 +182,15 @@ class TestWitnessReport:
             r = witness_report(eps)
             assert r.passed and r.given_third_zero < 0
 
+    def test_values_equal_the_enumeration_oracle(self):
+        for eps in (F(1, 10), F(1, 3), F(1, 2), F(2, 3), F(9, 10)):
+            mix = MixtureModel(eps)
+            k = witness_kernel(eps)
+            r = witness_report(eps)
+            assert r.given_second_zero == cond_expectation(mix, k, common=("0",))
+            assert r.given_second_one == cond_expectation(mix, k, common=("1",))
+            assert r.given_third_zero == cond_expectation(mix, k, common=(), extra=("0",))
+
     def test_closed_form_vanishes_at_one(self):
         assert witness_conditional_closed_form(F(1)) == 0
 
