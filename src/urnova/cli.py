@@ -362,6 +362,10 @@ def cmd_weak_copy(args):
 
 
 def cmd_wor_variance(args):
+    if args.draws > args.M:
+        raise ParseError(f"zhao-chen: --draws {args.draws} exceeds --M {args.M}")
+    if args.level and args.level > args.draws:
+        raise ParseError(f"zhao-chen: --level {args.level} exceeds --draws {args.draws}")
     levels = [args.level] if args.level else list(range(1, args.draws + 1))
     rep = Report(
         _meta(args),

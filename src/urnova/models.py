@@ -18,12 +18,11 @@ dictionary and take no part in equality or hashing.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from math import lcm
 from typing import Optional
 
@@ -303,24 +302,30 @@ class UrnModel(_Law):
     def sample(self, n: int, seed: int) -> tuple:
         """Draw n labels sequentially; deterministic for a given 64-bit seed.
 
-        The urn holds the integer weights A_a + C*n_a of ``_integer_weights``,
-        which sum to A + C*m after m draws.  Each draw takes u = 64 random
-        bits, sets t = floor(u * total / 2**64) and picks the first label
-        whose cumulative weight exceeds t: the predictive law's inverse CDF
-        at u / 2**64, exactly, and never a label of zero weight."""
+        The urn holds the integer weights A_a + C*n_a, total A + C*m after m
+        draws.  CPython fills one getrandbits(64 * n) read from 32-bit words,
+        least significant first, so its i-th little-endian 64-bit word is the
+        u of the i-th getrandbits(64) call.  Each draw subtracts the weights,
+        in alphabet order, from t = floor(u * total / 2**64) until t is below
+        the next: the predictive inverse CDF at u / 2**64, exactly; a label of
+        zero weight is never drawn."""
         if n > self.length:
             raise LengthExceeded(f"cannot draw {n} > length {self.length}")
-        rng = random.Random(seed)
         weights, step = self._integer_weights
         weights = list(weights)
         total = sum(weights)
+        labels = self.alphabet.labels
+        bits = random.Random(seed).getrandbits(64 * n).to_bytes(8 * n, "little")
         out = []
-        for _ in range(n):
-            t = (rng.getrandbits(64) * total) >> 64
-            i = bisect_right(list(accumulate(weights)), t)
+        for u in struct.unpack(f"<{n}Q", bits):
+            t = (u * total) >> 64
+            i = 0
+            while t >= weights[i]:
+                t -= weights[i]
+                i += 1
             weights[i] += step
             total += step
-            out.append(self.alphabet.labels[i])
+            out.append(labels[i])
         return tuple(out)
 
 

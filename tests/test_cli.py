@@ -438,6 +438,22 @@ class TestMalformedDocuments:
             UrnModel(alphabet, (("a", F(1)),), F(1), True)
 
 
+class TestZhaoChenFlags:
+    @pytest.mark.parametrize("argv, named", [
+        (["--M", "3", "--draws", "2", "--level", "5"], ("--level 5", "--draws 2")),
+        (["--M", "2", "--draws", "5"], ("--draws 5", "--M 2")),
+    ])
+    def test_size_out_of_range_exits_2(self, tmp_path, capsys, argv, named):
+        assert main(["zhao-chen", *argv, "--out", str(tmp_path / "z.csv")]) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in named), err
+
+    def test_sample_of_the_whole_population_is_reported(self, tmp_path):
+        out = tmp_path / "z.csv"
+        assert main(["zhao-chen", "--M", "4", "--draws", "4", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2 + 4
+
+
 class TestLemma3Flags:
     @pytest.mark.parametrize("argv, missing", [
         (["--n", "2"], "--level"),
