@@ -162,19 +162,15 @@ class TestTowerFamily:
 
 
 class TestSampling:
-    @given(model=models(urn_only=True), seed=st.integers(0, 2**64 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_integer_walk_equals_fraction_inverse_cdf(self, model, seed):
-        assert model.sample(model.length, seed) == sample_reference(model, model.length, seed)
-
     @given(model=models(urn_only=True), seed=st.integers(0, 2**64 - 1), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_every_length_reads_a_prefix_of_the_stream(self, model, seed, data):
+    def test_integer_walk_equals_fraction_inverse_cdf(self, model, seed, data):
+        full = model.sample(model.length, seed)
+        assert full == sample_reference(model, model.length, seed)
         # one getrandbits(64 * n) read must give the words of n getrandbits(64)
         # calls, so a shorter sample is a prefix of the full-horizon one
         n = data.draw(st.integers(0, model.length), label="n")
-        assert model.sample(n, seed) == sample_reference(model, n, seed)
-        assert model.sample(n, seed) == model.sample(model.length, seed)[:n]
+        assert model.sample(n, seed) == sample_reference(model, n, seed) == full[:n]
 
 
 def index_subsets(n, k):
