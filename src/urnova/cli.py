@@ -430,7 +430,7 @@ FLAGS = {
     "M": {"type": positive_int},
     "seq": {"metavar": "LABELS"},
     "count": {"type": positive_int, "default": 1},
-    "seed": {"type": int},
+    "seed": {"type": non_negative_int},
     "level": {"type": positive_int},
     "overlap": {"type": non_negative_int},
     "epsilon": {"type": rational},

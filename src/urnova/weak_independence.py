@@ -18,6 +18,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .combinatorics import binomial
 from .conditional import diagonal_family
@@ -32,9 +34,10 @@ def degenerate_basis(model, n: int):
 
     The constraint map sends a kernel phi to the function
     x -> sum_a P(next = a | x) * phi(x + a) on observed (n-1)-multisets;
-    rows run over the support, columns over every size-n multiset, and the
-    null space comes out of exact row reduction with deterministic
-    ordering (pivots scaled so each basis vector leads with 1).
+    rows run over the support (each the predictive law's integer step
+    weights), columns over every size-n multiset, and the null space comes
+    out of exact row reduction with deterministic ordering (pivots scaled
+    so each basis vector leads with 1).
     """
     if n < 1:
         raise ValidationError("level must be at least 1")
@@ -45,12 +48,9 @@ def degenerate_basis(model, n: int):
     col_index = {ms: i for i, ms in enumerate(columns)}
     rows = []
     for observed in model.support_multisets(n - 1):
-        law = model.predictive(observed)
-        row = [Fraction(0)] * len(columns)
-        for label, p in law.items():
-            if p == 0:
-                continue
-            row[col_index[alphabet.canon(observed + (label,))]] += p
+        row = [0] * len(columns)
+        for label, w in zip(alphabet.labels, model._step_weights(observed)[0]):
+            row[col_index[alphabet.canon(observed + (label,))]] = w
         rows.append(row)
     basis = []
     for vec in nullspace(rows, ncols=len(columns)):
@@ -79,9 +79,10 @@ class DegeneracyReport:
         return not self.violations
 
 
-def offdiagonal_functional(model, observed, overlap: int) -> dict:
+def offdiagonal_functional(model, observed, overlap: int) -> tuple:
     """The overlap-r symmetrized conditional at one observed (n-1)-multiset,
-    as a linear functional {size-n multiset: weight} on arity-n kernels.
+    as a linear functional on arity-n kernels: integer weights over the
+    size-n multisets in canonical order, and one denominator.
 
     Every block assignment of the observed values conditions on the same
     multiset, so one extension law serves all binomial(n-1, r) picks; picks
@@ -89,25 +90,21 @@ def offdiagonal_functional(model, observed, overlap: int) -> dict:
     """
     alphabet = model.alphabet
     n = len(observed) + 1
+    column = {ms: i for i, ms in enumerate(alphabet.multisets(n))}
     law = model.extension_law(observed, n - overlap)
-    norm = Fraction(1, binomial(n - 1, overlap))
-    functional = {}
+    weights, den = _integers(law.values())
+    functional = [0] * len(column)
     for common, mult in Counter(itertools.combinations(observed, overlap)).items():
-        for ext, weight in law.items():
-            if weight == 0:
-                continue
-            key = alphabet.canon(common + ext)
-            functional[key] = functional.get(key, 0) + mult * norm * weight
-    return functional
+        for ext, weight in zip(law, weights):
+            if weight:
+                functional[column[alphabet.canon(common + ext)]] += mult * weight
+    return functional, den * binomial(n - 1, overlap)
 
 
-def apply_functional(functional: dict, kernel: SymmetricKernel) -> Fraction:
-    """Value of a functional on a kernel: sum of weight * kernel value."""
-    table = kernel.table
-    return sum(
-        (weight * table[key] for key, weight in functional.items() if table[key]),
-        Fraction(0),
-    )
+def _integers(values) -> tuple:
+    """Rationals as integer numerators over their common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def check_weak_independence(model, n: int) -> DegeneracyReport:
@@ -115,8 +112,10 @@ def check_weak_independence(model, n: int) -> DegeneracyReport:
     every degenerate basis kernel.  Exact zeros everywhere mean the model
     passes at this level (within its horizon); overlaps that would need
     coordinates beyond the horizon are reported as unchecked, never skipped
-    silently."""
+    silently.  Values are integer dot products; only a violation becomes a
+    Fraction."""
     basis = degenerate_basis(model, n)
+    scaled = [_integers([v for _, v in kernel.entries]) for kernel in basis]
     support = list(model.support_multisets(n - 1))
     violations = []
     unchecked = []
@@ -124,12 +123,12 @@ def check_weak_independence(model, n: int) -> DegeneracyReport:
         if model.length is not None and 2 * n - r - 1 > model.length:
             unchecked.append(r)
             continue
-        functionals = [(ms, offdiagonal_functional(model, ms, r)) for ms in support]
-        for b, kernel in enumerate(basis):
-            for ms, functional in functionals:
-                value = apply_functional(functional, kernel)
-                if value != 0:
-                    violations.append(Violation(b, r, ms, value))
+        functionals = [(ms, *offdiagonal_functional(model, ms, r)) for ms in support]
+        for b, (nums, den) in enumerate(scaled):
+            for ms, functional, f_den in functionals:
+                dot = sum(map(mul, functional, nums))
+                if dot:
+                    violations.append(Violation(b, r, ms, Fraction(dot, f_den * den)))
     return DegeneracyReport(n, tuple(basis), tuple(violations), tuple(unchecked))
 
 
@@ -191,10 +190,12 @@ def witness_report(epsilon) -> WitnessReport:
     mix = MixtureModel(epsilon)
     kernel = witness_kernel(epsilon)
     family = diagonal_family(mix, kernel)
+    functional, f_den = offdiagonal_functional(mix, ("0",), 0)
+    nums, den = _integers([v for _, v in kernel.entries])
     return WitnessReport(
         epsilon=epsilon,
         given_second_zero=family.value(("0",)),
         given_second_one=family.value(("1",)),
-        given_third_zero=apply_functional(offdiagonal_functional(mix, ("0",), 0), kernel),
+        given_third_zero=Fraction(sum(map(mul, functional, nums)), f_den * den),
         closed_form=witness_conditional_closed_form(epsilon),
     )

@@ -1,7 +1,8 @@
 """Shared test utilities: seeded random kernels, a grid of models covering
 every replacement regime, independent projection oracles (Gram matrix,
-i.i.d. inclusion-exclusion) used to cross-check the decomposition, and a
-step-by-step reference for the sampling stream."""
+i.i.d. inclusion-exclusion) used to cross-check the decomposition, a
+rational RREF for the null spaces, and a step-by-step reference for the
+sampling stream."""
 
 import random
 from collections import Counter
@@ -18,7 +19,6 @@ from urnova import (
     ustatistic,
 )
 from urnova.combinatorics import permutation_count, prod
-from urnova.linalg import rref
 
 LABELED = [("u", 0), ("v", 1), ("w", 2), ("x", 3)]
 
@@ -69,6 +69,47 @@ def values_agree(model, left, right, size):
 
 
 # -- independent oracles -------------------------------------------------------
+
+def rref(matrix):
+    """Reduced row-echelon form over the rationals. Returns (rows, pivot_columns)."""
+    rows = [[F(x) for x in row] for row in matrix]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def rref_nullspace(matrix, ncols):
+    """Null-space basis read off the rational RREF: one vector per free
+    column, scaled so its first nonzero coordinate is 1."""
+    rows, pivots = rref(matrix or [[F(0)] * ncols])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        lead = next(x for x in v if x != 0)
+        basis.append([x / lead for x in v])
+    return basis
+
 
 def solve_consistent(matrix, rhs):
     """One solution of A x = b for a consistent (possibly singular) system.

@@ -365,6 +365,15 @@ class TestFlagErrors:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # random.Random seeds on |seed|, so rows at seeds -1 and 1 would repeat
+        model = write_json(tmp_path / "m.json", polya_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--model", model, "--count", "5", "--seed", "-3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "'-3'" in err
+
     def test_second_kernel_rejected(self, tmp_path, capsys):
         model = write_json(tmp_path / "m.json", polya_doc())
         kernel = write_json(tmp_path / "k.json", {"builtin": "max"})

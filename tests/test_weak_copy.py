@@ -14,7 +14,7 @@ from urnova import (
     urn_model,
     verify_weak_copy,
 )
-from urnova.combinatorics import permutation_count
+from urnova.combinatorics import binomial, permutation_count
 from urnova.errors import (
     RequiresPositiveC,
     UnknownSymbol,
@@ -197,6 +197,34 @@ class TestVerify:
         report = verify_weak_copy(frozen)
         assert report.degenerate_copy and not report.discrepancy
         assert report.passed  # degenerate copies reproduce the base exactly
+
+    @pytest.mark.parametrize("labels, level", [("01", 1), ("01", 2), ("abc", 1), ("abc", 2)])
+    def test_one_evaluation_per_multiset(self, monkeypatch, labels, level):
+        # the report reads each multiset's pair once and reuses it for every
+        # ordering; exchangeability itself is pinned here, against the
+        # term-by-term moment oracle on every ordered sequence
+        base = urn_model(list(labels), {l: i + 1 for i, l in enumerate(labels)}, 1, level + 3)
+        seed = random_kernel(random.Random(level), base.alphabet, level + 1)
+        tilted = build_weak_copy(base, level, seed, F(1, 2))
+        lengths = []
+        original = TiltedModel.marginal_pmf
+
+        def counted(self, seq):
+            lengths.append(len(tuple(seq)))
+            return original(self, seq)
+
+        monkeypatch.setattr(TiltedModel, "marginal_pmf", counted)
+        report = verify_weak_copy(tilted)
+        top = level + 2
+        assert sorted(lengths) == [m for m in range(top + 1)
+                                   for _ in range(binomial(len(labels) + m - 1, m))]
+        monkeypatch.undo()
+        expected = [(seq, base.joint_pmf(seq), moment_oracle(tilted, seq))
+                    for m in range(top + 1) for seq in product(labels, repeat=m)]
+        assert list(report.marginals) == expected
+        for seq, _, p in expected:
+            assert tilted.marginal_pmf(seq) == p
+        assert report.passed and report.exchangeable
 
     def test_marginal_tables_normalized(self):
         base = polya01()

@@ -20,9 +20,22 @@ from urnova import (
     witness_report,
 )
 from urnova.errors import HorizonTooShort, ValidationError
-from urnova.linalg import rref
-from urnova.weak_independence import Violation, apply_functional, offdiagonal_functional
-from helpers import model_grid, random_kernel
+from urnova.kernels import SymmetricKernel
+from urnova.linalg import nullspace
+from urnova.weak_independence import DegeneracyReport, Violation, offdiagonal_functional
+from helpers import model_grid, random_kernel, rref, rref_nullspace
+
+
+def constraint_rows(model, n):
+    """The one-step prediction map on size-n multisets, row by row."""
+    columns = list(model.alphabet.multisets(n))
+    rows = []
+    for observed in model.support_multisets(n - 1):
+        row = [F(0)] * len(columns)
+        for label, p in model.predictive(observed).items():
+            row[columns.index(model.alphabet.canon(observed + (label,)))] += p
+        rows.append(row)
+    return columns, rows
 
 
 class TestDegenerateBasis:
@@ -35,14 +48,7 @@ class TestDegenerateBasis:
     def test_dimension_matches_constraint_rank(self):
         m = urn_model(["a", "b", "c"], {"a": 2, "b": 2, "c": 2}, -1, 3)
         n = 2
-        columns = list(m.alphabet.multisets(n))
-        rows = []
-        for observed in m.support_multisets(n - 1):
-            law = m.predictive(observed)
-            row = [F(0)] * len(columns)
-            for label, p in law.items():
-                row[columns.index(m.alphabet.canon(observed + (label,)))] += p
-            rows.append(row)
+        columns, rows = constraint_rows(m, n)
         _, pivots = rref(rows)
         assert len(degenerate_basis(m, n)) == len(columns) - len(pivots)
 
@@ -140,13 +146,68 @@ class TestBatchedSweep:
             functionals = [offdiagonal_functional(model, ms, r) for ms in support]
             for b, kernel in enumerate(kernels):
                 tilde = symmetrized_offdiagonal(model, kernel, r)
-                for ms, functional in zip(support, functionals):
+                for ms, (functional, den) in zip(support, functionals):
+                    assert all(type(w) is int for w in functional)
                     value = tilde.value(ms)
-                    assert apply_functional(functional, kernel) == value
+                    applied = sum((w * v for w, (_, v) in zip(functional, kernel.entries)), F(0))
+                    assert applied / den == value
                     if b < len(basis) and value != 0:
                         expected.append(Violation(b, r, ms, value))
         # same violations, in the same (overlap, basis index, multiset) order
         assert check_weak_independence(model, n).violations == tuple(expected)
+
+    @given(case=models_and_levels())
+    @settings(max_examples=60, deadline=None)
+    def test_report_equals_the_oracle_report(self, case):
+        # basis from the rational RREF, values from the enumeration oracle
+        model, n = case
+        columns, rows = constraint_rows(model, n)
+        basis = [SymmetricKernel(n, model.alphabet, tuple(zip(columns, v)))
+                 for v in rref_nullspace(rows, len(columns))]
+        violations, unchecked = [], []
+        for r in range(n):
+            if model.length is not None and 2 * n - r - 1 > model.length:
+                unchecked.append(r)
+                continue
+            for b, kernel in enumerate(basis):
+                tilde = symmetrized_offdiagonal(model, kernel, r)
+                violations += [Violation(b, r, ms, tilde.value(ms))
+                               for ms in model.support_multisets(n - 1) if tilde.value(ms)]
+        expected = DegeneracyReport(n, tuple(basis), tuple(violations), tuple(unchecked))
+        assert check_weak_independence(model, n) == expected
+
+
+RATIONALS = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+)
+
+
+class TestIntegerNullspace:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_rref_basis(self, data):
+        ncols = data.draw(st.integers(0, 6))
+        row = st.lists(RATIONALS, min_size=ncols, max_size=ncols)
+        rows = data.draw(st.lists(st.one_of(row, st.just([0] * ncols)), max_size=6))
+        if rows and data.draw(st.booleans()):
+            rows.append(list(data.draw(st.sampled_from(rows))))
+        basis = nullspace(rows, ncols)
+        assert basis == rref_nullspace(rows, ncols)
+        assert all(type(x) is F for v in basis for x in v)
+
+    @pytest.mark.parametrize("rows, ncols", [
+        ([], 3),
+        ([], 0),
+        ([[0, 0, 0], [F(0), 0, 0]], 3),
+        ([[F(1, 2), -1, F(3, 4)], [F(1, 2), -1, F(3, 4)]], 3),
+        ([[-2, 4, 0, F(-6, 5)], [0, 0, 0, 0], [1, -2, 1, 0]], 4),
+    ])
+    def test_edge_cases(self, rows, ncols):
+        assert nullspace(rows, ncols) == rref_nullspace(rows, ncols)
+        if rows:
+            assert nullspace(rows) == nullspace(rows, ncols)
 
 
 class TestWitnessKernel:
