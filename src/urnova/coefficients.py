@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import binomial, falling, prod, rising, star_binomial
+from .combinatorics import binomial, falling, prod, rising
 from .errors import DegenerateAssumption, ZeroDenominator
 
 
@@ -48,7 +48,7 @@ def _psi_sum(M: int, q: int, n: int, m: int, phi) -> Fraction:
     q surviving arguments, each with its p = q - r step promotion weight."""
     total = Fraction(0)
     for r in range(q + 1):
-        count = binomial(q, r) * star_binomial(M - n, m - r)
+        count = binomial(q, r) * binomial(M - n, m - r)
         if count:
             total += count * phi(n, m, r, q - r)
     return total
@@ -191,7 +191,7 @@ def level_weight(M: int, s: int, alpha_total, c) -> Fraction:
     pair covariance factor."""
     total = Fraction(0)
     for p in range(s + 1):
-        count = binomial(s, p) * star_binomial(M - s, s - p)
+        count = binomial(s, p) * binomial(M - s, s - p)
         if count == 0:
             continue
         total += count * pair_covariance_factor(s, p, alpha_total, c)

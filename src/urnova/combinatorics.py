@@ -8,20 +8,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 
 def binomial(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def star_binomial(a: int, b: int) -> int:
-    """Binomial coefficient gated to 0 whenever a < b (or b < 0)."""
-    if b < 0 or a < b:
-        return 0
-    return comb(a, b)
 
 
 def falling(a: int, p: int) -> int:
@@ -65,30 +58,43 @@ def permutation_count(ms) -> int:
     return out
 
 
-def sub_multisets(ms, k: int, top: int = None) -> list:
-    """Each distinct sub-multiset of a canonical multiset with k to top
-    labels (top defaults to k), with the number of subsets of positions that
-    select it: prod_a binomial(n_a, k_a).  Sub-multisets come out canonical
-    too."""
-    top = k if top is None else top
-    picks = [((), 1)]
-    room = len(ms)  # positions after the current run of equal labels
-    for label, run in itertools.groupby(ms):
-        n = len(tuple(run))
-        room -= n
-        picks = [
-            (sub + (label,) * j, mult * comb(n, j))
-            for sub, mult in picks
-            for j in range(max(0, k - len(sub) - room), min(n, top - len(sub)) + 1)
-        ]
-    return picks if 0 <= k <= len(ms) else []
+def integer_numerators(values) -> tuple:
+    """Rationals as integer numerators over their least common denominator."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def sub_multiset_sum(table, ms, k: int) -> Fraction:
-    """Sum of table[sub] over every k-subset of the positions of ms, one
-    lookup per distinct sub-multiset (the plain sum over k-subsets of
-    positions adds binomial(len(ms), k) terms)."""
-    return sum((mult * table[sub] for sub, mult in sub_multisets(ms, k)), Fraction(0))
+def up(table, keys) -> dict:
+    """The raising operator (U g)(x) = sum_a n_a(x) * g(x - a), the sum of g
+    over x minus one position, at each canonical multiset x in `keys`.
+    (U^j g)(x) is j! times the sum of g over the subsets of x's positions
+    with j fewer elements."""
+    out = {}
+    for x in keys:
+        total = i = 0
+        while i < len(x):  # one term per run of equal labels, times its length
+            n = x.count(x[i])
+            total += n * table[x[:i] + x[i + 1:]]
+            i += n
+        out[x] = total
+    return out
+
+
+def subset_sums(tables, keys, size) -> tuple:
+    """sum_a (sum of tables[a] over the a-subsets of x's positions) at each
+    x in keys(size), as ({x: H(x)}, L) with the sum H(x) / L, by Horner's
+    scheme: H_lo = tables[lo], H_k = U H_{k-1} + falling(size-lo, k-lo) *
+    tables[k] on keys(k), L = (size-lo)!.  keys must be closed under
+    removing a label; no tables give ({}, 1)."""
+    lo = min(tables, default=size)
+    sums = tables.get(lo, {})
+    for k in range(lo + 1, size + 1):
+        sums = up(sums, keys(k))
+        weight = falling(size - lo, k - lo)
+        for x, v in tables.get(k, {}).items():
+            sums[x] += weight * v
+    return sums, factorial(size - lo)
 
 
 def elementary_symmetric(top: int, k: int) -> int:

@@ -17,7 +17,7 @@ from functools import cached_property
 from math import lcm
 
 from .coefficients import phi_coeff, psi_coeff
-from .combinatorics import binomial, prod
+from .combinatorics import binomial, integer_numerators, prod
 from .errors import ArityMismatch, HorizonTooShort, IndexOutOfRange
 from .kernels import SymmetricKernel
 from .models import check_horizon
@@ -82,9 +82,9 @@ def diagonal_family(model, statistic: SymmetricKernel) -> DiagonalFamily:
     The top level is the statistic on its support, over the least common
     denominator of its values.  Each level below comes from the one above
     by the tower property, E[T | x] = sum_a P(a | x) * E[T | x + a], on
-    integers: with P(a | x) = w_a(x) / d(x) from the model's
-    ``_step_weights`` and L the lcm of d(x) over the level,
-    N_q(x) = sum_a w_a(x) * (L / d(x)) * N_{q+1}(x + a) and
+    integers: with P(a | x) = w_a(x) / d(x) the model's size-1 law
+    primitive ``_build_size_law(1, x)`` and L the lcm of d(x) over the
+    level, N_q(x) = sum_a w_a(x) * (L / d(x)) * N_{q+1}(x + a) and
     D_q = L * D_{q+1}.  Letters of zero weight are skipped (x + a is then
     off the support); the others give support multisets x + a.
     """
@@ -93,12 +93,12 @@ def diagonal_family(model, statistic: SymmetricKernel) -> DiagonalFamily:
     if fam is None:
         check_horizon(model, statistic.arity)
         labels = model.alphabet.labels
-        top = {ms: statistic.table[ms] for ms in model.support_multisets(statistic.arity)}
-        den = lcm(*(v.denominator for v in top.values()))
-        above = {ms: v.numerator * (den // v.denominator) for ms, v in top.items()}
+        top = list(model.support_multisets(statistic.arity))
+        values, den = integer_numerators(statistic.table[ms] for ms in top)
+        above = dict(zip(top, values))
         nums, dens = [above], [den]
         for q in range(statistic.arity - 1, -1, -1):
-            steps = {ms: model._step_weights(ms) for ms in model.support_multisets(q)}
+            steps = {ms: model._build_size_law(1, ms) for ms in model.support_multisets(q)}
             step_den = lcm(*(d for _, d in steps.values()))
             level = {}
             for ms, (weights, d) in steps.items():

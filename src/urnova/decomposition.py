@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
 
 from .coefficients import (
     gamma_coeff,
@@ -19,7 +19,7 @@ from .coefficients import (
     pair_covariance_factor,
     theta_table,
 )
-from .combinatorics import binomial, sub_multiset_sum, sub_multisets
+from .combinatorics import binomial, integer_numerators, subset_sums
 from .conditional import diagonal_family
 from .errors import (
     ArityMismatch,
@@ -47,10 +47,14 @@ class HoeffdingDecomposition:
         x = self.model.alphabet.canon(labels)
         if len(x) != self.horizon:
             raise ArityMismatch(f"need {self.horizon} labels")
-        total = self.mean
-        for s, kernel in enumerate(self.kernels, start=1):
-            total += sub_multiset_sum(kernel.table, x, s)
-        return total
+        return self.mean + self._level_sums[x]
+
+    @cached_property
+    def _level_sums(self) -> dict:
+        """{x: sum_s of kernel s over the s-subsets of x's positions}."""
+        sums, lead = subset_sums({s: k.table for s, k in enumerate(self.kernels, start=1)},
+                                 self.model.alphabet.multisets, self.horizon)
+        return {x: v / lead for x, v in sums.items()}
 
 
 def _centered_family(model, statistic):
@@ -64,25 +68,16 @@ def _centered_family(model, statistic):
 def _combine_levels(model, fam, coefs: dict, size: int) -> SymmetricKernel:
     """Kernel of the given size: zero off the model's support, and on it
     sum_a coefs[a] * (sum of level a of the family over the size-a
-    sub-multisets).  Each coefs[a] / dens[a] is written as K_a / Q over one
-    denominator Q, so one pass over the sub-multisets of every needed size
-    sums on integers, and each value is a single Fraction."""
-    scaled = {a: Fraction(coef) / fam.dens[a] for a, coef in coefs.items() if coef}
-    Q = lcm(*(f.denominator for f in scaled.values()))
-    K = {a: f.numerator * (Q // f.denominator) for a, f in scaled.items()}
-    lo, hi = min(K, default=1), max(K, default=0)
-    nums = fam.nums
-    support = set(model.support_multisets(size))
-    entries = []
-    for ms in model.alphabet.multisets(size):
-        total = 0
-        if K and ms in support:
-            sums = [0] * (hi + 1)
-            for sub, mult in sub_multisets(ms, lo, hi):
-                sums[len(sub)] += mult * nums[len(sub)][sub]
-            total = sum(k * sums[a] for a, k in K.items())
-        entries.append((ms, Fraction(total, Q)))
-    return SymmetricKernel(size, model.alphabet, tuple(entries))
+    sub-multisets).  With coefs[a] / dens[a] = K_a / Q over one denominator
+    Q, the sums run on the integers K_a * N_a by Horner's scheme in the
+    raising operator, over support multisets only (the support is closed
+    under taking sub-multisets), and each value is a single Fraction."""
+    keys = [a for a, coef in coefs.items() if coef]
+    K, Q = integer_numerators(Fraction(coefs[a]) / fam.dens[a] for a in keys)
+    tables = {a: {ms: k * n for ms, n in fam.nums[a].items()} for a, k in zip(keys, K)}
+    sums, lead = subset_sums(tables, model.support_multisets, size)
+    return SymmetricKernel(size, model.alphabet, tuple(
+        (ms, Fraction(sums.get(ms, 0), lead * Q)) for ms in model.alphabet.multisets(size)))
 
 
 def _level_inputs(model, statistic: SymmetricKernel, horizon: int, s: int):

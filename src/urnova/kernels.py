@@ -19,7 +19,7 @@ from .combinatorics import (
     elementary_symmetric,
     permutation_count,
     prod,
-    sub_multiset_sum,
+    subset_sums,
 )
 from .errors import (
     ArityMismatch,
@@ -186,9 +186,9 @@ def ustatistic(kernel: SymmetricKernel, size: int) -> SymmetricKernel:
     """Arity-`size` statistic summing the kernel over all index subsets."""
     if size < kernel.arity:
         raise ArityMismatch("u-statistic size below kernel arity")
+    sums, lead = subset_sums({kernel.arity: kernel.table}, kernel.alphabet.multisets, size)
     return SymmetricKernel(size, kernel.alphabet, tuple(
-        (ms, sub_multiset_sum(kernel.table, ms, kernel.arity))
-        for ms in kernel.alphabet.multisets(size)
+        (ms, sums[ms] / lead) for ms in kernel.alphabet.multisets(size)
     ))
 
 

@@ -10,7 +10,9 @@ is the one Gauss-Jordan elimination over the rationals gives.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .combinatorics import integer_numerators
 
 
 def nullspace(matrix, ncols=None):
@@ -24,8 +26,7 @@ def nullspace(matrix, ncols=None):
         ncols = len(matrix[0]) if matrix else 0
     rows = []
     for row in matrix:
-        den = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
+        ints = integer_numerators(row)[0]
         if any(ints):
             rows.append(ints)
     pivots = []

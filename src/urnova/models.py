@@ -23,10 +23,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import factorial, lcm
 from typing import Optional
 
-from .combinatorics import binomial, multisets, permutation_count, rising
+from .combinatorics import binomial, integer_numerators, multisets, permutation_count, rising
 from .errors import (
     EmptyMeasure,
     ExhaustedUrn,
@@ -106,10 +106,12 @@ class _Law:
     """Laws and caches shared by both model families.
 
     Each family defines one law primitive, ``_build_size_law(k, observed)``:
-    the law of the multiset of the next k draws after an observed multiset.
-    ``size_law(n)`` is that law with nothing observed, computed once per
-    size; ``extension_law``, ``predictive`` and ``_step_weights`` read the
-    primitive too.
+    the law of the multiset of the next k draws after an observed multiset,
+    as integers ``(nums, den)``: one numerator per size-k multiset in
+    canonical order, over one denominator.  ``size_law(n)`` is its
+    ``Fraction`` view with nothing observed, computed once per size;
+    ``extension_law`` and ``predictive`` are its ``Fraction`` view at an
+    observed multiset, and the integer-only callers read the pair itself.
     ``diagonal_families`` holds the diagonal families built by
     :func:`urnova.conditional.diagonal_family`, keyed by statistic.
     Returned tables are shared: read them, never mutate them.
@@ -123,13 +125,18 @@ class _Law:
     def diagonal_families(self) -> dict:
         return {}
 
+    def _law(self, k: int, observed: tuple = ()) -> dict:
+        """{multiset: probability} of the next k draws, from the primitive."""
+        nums, den = self._build_size_law(k, observed)
+        return {ext: Fraction(n, den) for ext, n in zip(self.alphabet.multisets(k), nums)}
+
     def size_law(self, size: int) -> dict:
         """{multiset: probability} over every multiset of `size` labels, in
         canonical order, zero weights included."""
         law = self._size_laws.get(size)
         if law is None:
             check_horizon(self, size)
-            law = self._size_laws[size] = self._build_size_law(size)
+            law = self._size_laws[size] = self._law(size)
         return law
 
     def multiset_weight(self, ms) -> Fraction:
@@ -147,21 +154,11 @@ class _Law:
         check_horizon(self, len(ms) + k)
         if not ms:
             return dict(self.size_law(k))
-        return self._build_size_law(k, ms)
+        return self._law(k, ms)
 
     def predictive(self, observed=()) -> dict:
         """Law of the next draw given an observed multiset of labels."""
-        ms = self.alphabet.canon(observed)
-        check_horizon(self, len(ms) + 1)
-        return {ext[0]: p for ext, p in self._build_size_law(1, ms).items()}
-
-    def _step_weights(self, ms) -> tuple:
-        """The predictive law after a canonical multiset as integers: the
-        weights of the labels in alphabet order, and their common
-        denominator."""
-        law = self._build_size_law(1, ms).values()
-        den = lcm(*(p.denominator for p in law))
-        return tuple(p.numerator * (den // p.denominator) for p in law), den
+        return {ext[0]: p for ext, p in self.extension_law(observed, 1).items()}
 
 
 @dataclass(frozen=True)
@@ -239,14 +236,6 @@ class UrnModel(_Law):
         den = lcm(self.c.denominator, *(w.denominator for _, w in self.alpha))
         return tuple(int(w * den) for _, w in self.alpha), int(self.c * den)
 
-    def _step_weights(self, ms) -> tuple:
-        """The integer weights A_a + C*n_a after a canonical multiset, and
-        their total A + C*len(ms)."""
-        weights, step = self._integer_weights
-        cnt = Counter(ms)
-        return (tuple(w + step * cnt[label] for label, w in zip(self.alphabet.labels, weights)),
-                sum(weights) + step * len(ms))
-
     def joint_pmf(self, seq) -> Fraction:
         """Probability of an ordered sequence of labels; the step-by-step
         oracle for the tabulated laws."""
@@ -276,26 +265,30 @@ class UrnModel(_Law):
         )
         return UrnModel(self.alphabet, alpha, self.c, self.length - len(ms))
 
-    def _build_size_law(self, k: int, observed: tuple = ()) -> dict:
-        """Law of the multiset of the next k draws after an observed
-        multiset, on integer numerators: with A_a = D*alpha_a + C*n_a,
-        P(ext) = multinomial(ext) * prod_a prod_{j<e_a} (A_a + jC)
-                 / prod_{i<k} (A + iC)."""
-        weights, total = self._step_weights(observed)
-        step = self._integer_weights[1]
+    def _build_size_law(self, k: int, observed: tuple = ()) -> tuple:
+        """Law of the multiset of the next k draws after a canonical
+        observed multiset, unreduced on integers: with A_a = D*alpha_a +
+        C*n_a, the numerator of ext is
+        multinomial(ext) * prod_a prod_{j<e_a} (A_a + jC) and the
+        denominator prod_{i<k} (A + iC).  At k = 1 that is A_a + C*n_a over
+        A + C*len(observed)."""
+        weights, step = self._integer_weights
+        cnt = Counter(observed)
         factors = {}
         for label, w in zip(self.alphabet.labels, weights):
+            w += step * cnt[label]
             if w < 0:
                 raise ValidationError(f"observing {observed!r} exhausts {label!r}")
             factors[label] = rising(w, step, k)
-        den = rising(total, step, k)[k]
-        law = {}
+        nums = []
         for ext in self.alphabet.multisets(k):
-            num = permutation_count(ext)
-            for label, e in Counter(ext).items():
-                num *= factors[label][e]
-            law[ext] = Fraction(num, den)
-        return law
+            num, i = factorial(k), 0
+            while i < k:  # one run of e equal labels at a time; each quotient is exact
+                e = ext.count(ext[i])
+                num = num * factors[ext[i]][e] // factorial(e)
+                i += e
+            nums.append(num)
+        return nums, rising(sum(weights) + step * len(observed), step, k)[k]
 
     # -- sampling --------------------------------------------------------------
 
@@ -388,14 +381,15 @@ class MixtureModel(_Law):
             out += Fraction((-1) ** j) * binomial(n - k, j) * eps ** (k + j) / (k + j + 1)
         return out
 
-    def _build_size_law(self, k: int, observed: tuple = ()) -> dict:
+    def _build_size_law(self, k: int, observed: tuple = ()) -> tuple:
         """Law of the multiset of the next k trials after observing a
-        multiset: ratios of ordered probabilities."""
+        multiset: ratios of ordered probabilities, over their least common
+        denominator."""
         base = self.joint_pmf(observed)
-        return {
-            ext: permutation_count(ext) * self.joint_pmf(observed + ext) / base
+        return integer_numerators(
+            permutation_count(ext) * self.joint_pmf(observed + ext) / base
             for ext in self.alphabet.multisets(k)
-        }
+        )
 
 
 def check_horizon(model, needed: int):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .combinatorics import permutation_count, prod
+from .combinatorics import permutation_count, prod, rising
 from .decomposition import decompose
 from .errors import (
     ArityMismatch,
@@ -30,10 +30,6 @@ from .kernels import SymmetricKernel
 from .models import UrnModel
 
 
-def _rising(x: Fraction, m: int) -> Fraction:
-    return prod(x + t for t in range(m))
-
-
 def dirichlet_moment(model: UrnModel, exponents) -> Fraction:
     """Mixed moment E[prod_a D(a)^m_a] of the directing measure of a
     positive-replacement urn: a ratio of rising factorials of the
@@ -42,8 +38,8 @@ def dirichlet_moment(model: UrnModel, exponents) -> Fraction:
         raise RequiresPositiveC("directing-measure moments need c > 0")
     ms = model.alphabet.canon(exponents)
     cnt = Counter(ms)
-    num = prod(_rising(model.alpha_of(label) / model.c, k) for label, k in cnt.items())
-    den = _rising(model.alpha_total / model.c, len(ms))
+    num = prod(rising(model.alpha_of(label) / model.c, 1, k)[k] for label, k in cnt.items())
+    den = rising(model.alpha_total / model.c, 1, len(ms))[len(ms)]
     return num / den
 
 
@@ -87,17 +83,12 @@ class TiltedModel:
             raise LengthExceeded("sequence longer than the base horizon")
         if self.scale != 0 and self.base.c <= 0:
             raise RequiresPositiveC("directing-measure moments need c > 0")
-        p = _base_pmf(self.base, seq)
+        p = self.base.multiset_weight(seq) / permutation_count(seq)
         if p == 0 or self.scale == 0:
             return p
         table = self.tilt.table
         law = self._extended.extension_law(seq, self.tilt.arity)
         return p * (1 + self.scale * sum(w * table[ext] for ext, w in law.items()))
-
-
-def _base_pmf(base: UrnModel, seq) -> Fraction:
-    """Ordered probability of a sequence, read from the base's size law."""
-    return base.multiset_weight(seq) / permutation_count(seq)
 
 
 def build_weak_copy(base: UrnModel, level: int, seed_statistic: SymmetricKernel,
@@ -158,9 +149,11 @@ def verify_weak_copy(tilted: TiltedModel) -> WeakCopyReport:
     Verifies: marginals of length <= level equal the base; marginal tables
     up to level + 2 (horizon permitting) sum to one; some (level+1)-marginal
     moves unless the scale is zero; the certified density bound stays below
-    eta.  Both laws are evaluated once per multiset, which every ordering
-    shares, so the tables are permutation-invariant by construction.  The
-    report keeps every checked sequence's base and tilted probability.
+    eta.  Each multiset's base probability is read off the base's size law
+    and its tilted one comes from one ``marginal_pmf`` call; every ordering
+    shares that pair, so the tables are permutation-invariant by
+    construction.  The report keeps every checked sequence's base and
+    tilted probability.
     """
     base = tilted.base
     labels = base.alphabet.labels
@@ -173,20 +166,19 @@ def verify_weak_copy(tilted: TiltedModel) -> WeakCopyReport:
     for length in range(top + 1):
         total = Fraction(0)
         pairs = {}
-        for seq in itertools.product(labels, repeat=length):
-            key = base.alphabet.canon(seq)
-            pair = pairs.get(key)
-            if pair is None:
-                pair = pairs[key] = (_base_pmf(base, key), tilted.marginal_pmf(key))
-                base_p, p = pair
-                total += permutation_count(key) * p
-                if length <= k and p != base_p:
-                    small_ok = False
-                if length == k + 1 and not discrepancy and p != base_p:
-                    discrepancy = (seq, base_p, p)
-            marginals.append((seq, *pair))
+        for key, weight in base.size_law(length).items():
+            count = permutation_count(key)
+            base_p, p = pairs[key] = (weight / count, tilted.marginal_pmf(key))
+            total += count * p
+            if length <= k and p != base_p:
+                small_ok = False
         if length and total != 1:
             normalized = False
+        for seq in itertools.product(labels, repeat=length):
+            pair = pairs[base.alphabet.canon(seq)]
+            if length == k + 1 and not discrepancy and pair[0] != pair[1]:
+                discrepancy = (seq, *pair)
+            marginals.append((seq, *pair))
     return WeakCopyReport(
         level=k,
         checked_length=top,

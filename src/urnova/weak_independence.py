@@ -7,9 +7,10 @@ The decision at level n: compute a basis of the kernels killed by one-step
 prediction, then evaluate every admissible partial-overlap conditional of
 every basis kernel and collect nonzero witnesses.  Each conditional is
 linear in the kernel, so the sweep builds it once per (overlap, observed
-multiset) as a functional and applies that to the whole basis;
-``conditional.symmetrized_offdiagonal`` is the enumeration oracle it is
-tested against.
+multiset) as an integer functional, read off the integer law primitive of
+the model (as are the basis constraint rows), and applies that to the whole
+basis; ``conditional.symmetrized_offdiagonal`` is the enumeration oracle it
+is tested against.
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
-from .combinatorics import binomial
+from .combinatorics import binomial, integer_numerators
 from .conditional import diagonal_family
 from .errors import HorizonTooShort, ValidationError
 from .kernels import SymmetricKernel, from_table
 from .linalg import nullspace
-from .models import MixtureModel
+from .models import MixtureModel, check_horizon
 
 
 def degenerate_basis(model, n: int):
@@ -49,7 +49,7 @@ def degenerate_basis(model, n: int):
     rows = []
     for observed in model.support_multisets(n - 1):
         row = [0] * len(columns)
-        for label, w in zip(alphabet.labels, model._step_weights(observed)[0]):
+        for label, w in zip(alphabet.labels, model._build_size_law(1, observed)[0]):
             row[col_index[alphabet.canon(observed + (label,))]] = w
         rows.append(row)
     basis = []
@@ -80,31 +80,27 @@ class DegeneracyReport:
 
 
 def offdiagonal_functional(model, observed, overlap: int) -> tuple:
-    """The overlap-r symmetrized conditional at one observed (n-1)-multiset,
-    as a linear functional on arity-n kernels: integer weights over the
-    size-n multisets in canonical order, and one denominator.
+    """The overlap-r symmetrized conditional at one canonical observed
+    (n-1)-multiset, as a linear functional on arity-n kernels: integer
+    weights over the size-n multisets in canonical order, and one
+    denominator.
 
     Every block assignment of the observed values conditions on the same
-    multiset, so one extension law serves all binomial(n-1, r) picks; picks
-    with equal shared values are merged with their multiplicity.
+    multiset, so the integer law of the next n - r draws from the model's
+    primitive serves all binomial(n-1, r) picks; picks with equal shared
+    values are merged with their multiplicity.
     """
     alphabet = model.alphabet
     n = len(observed) + 1
+    check_horizon(model, 2 * n - overlap - 1)
     column = {ms: i for i, ms in enumerate(alphabet.multisets(n))}
-    law = model.extension_law(observed, n - overlap)
-    weights, den = _integers(law.values())
+    weights, den = model._build_size_law(n - overlap, observed)
     functional = [0] * len(column)
     for common, mult in Counter(itertools.combinations(observed, overlap)).items():
-        for ext, weight in zip(law, weights):
+        for ext, weight in zip(alphabet.multisets(n - overlap), weights):
             if weight:
                 functional[column[alphabet.canon(common + ext)]] += mult * weight
     return functional, den * binomial(n - 1, overlap)
-
-
-def _integers(values) -> tuple:
-    """Rationals as integer numerators over their common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def check_weak_independence(model, n: int) -> DegeneracyReport:
@@ -115,7 +111,7 @@ def check_weak_independence(model, n: int) -> DegeneracyReport:
     silently.  Values are integer dot products; only a violation becomes a
     Fraction."""
     basis = degenerate_basis(model, n)
-    scaled = [_integers([v for _, v in kernel.entries]) for kernel in basis]
+    scaled = [integer_numerators(v for _, v in kernel.entries) for kernel in basis]
     support = list(model.support_multisets(n - 1))
     violations = []
     unchecked = []
@@ -191,7 +187,7 @@ def witness_report(epsilon) -> WitnessReport:
     kernel = witness_kernel(epsilon)
     family = diagonal_family(mix, kernel)
     functional, f_den = offdiagonal_functional(mix, ("0",), 0)
-    nums, den = _integers([v for _, v in kernel.entries])
+    nums, den = integer_numerators(v for _, v in kernel.entries)
     return WitnessReport(
         epsilon=epsilon,
         given_second_zero=family.value(("0",)),

@@ -1,13 +1,15 @@
 """Shared test utilities: seeded random kernels, a grid of models covering
 every replacement regime, independent projection oracles (Gram matrix,
 i.i.d. inclusion-exclusion) used to cross-check the decomposition, a
-rational RREF for the null spaces, and a step-by-step reference for the
-sampling stream."""
+rational RREF for the null spaces, the sub-multiset enumerator for sums
+over positions-subsets, and a step-by-step reference for the sampling
+stream."""
 
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, groupby
+from math import comb
 
 from urnova import (
     constant_kernel,
@@ -196,6 +198,31 @@ def iid_level_kernels(model, statistic):
             entries.append((ms, value))
         kernels.append(from_table(model.alphabet, s, dict(entries)))
     return kernels
+
+
+def sub_multisets(ms, k, top=None):
+    """Each distinct sub-multiset of a canonical multiset with k to top
+    labels (top defaults to k), with the number of subsets of positions that
+    select it: prod_a binomial(n_a, k_a).  Sub-multisets come out canonical
+    too."""
+    top = k if top is None else top
+    picks = [((), 1)]
+    room = len(ms)  # positions after the current run of equal labels
+    for label, run in groupby(ms):
+        n = len(tuple(run))
+        room -= n
+        picks = [
+            (sub + (label,) * j, mult * comb(n, j))
+            for sub, mult in picks
+            for j in range(max(0, k - len(sub) - room), min(n, top - len(sub)) + 1)
+        ]
+    return picks if 0 <= k <= len(ms) else []
+
+
+def sub_multiset_sum(table, ms, k):
+    """Sum of table[sub] over every k-subset of the positions of ms, one
+    lookup per distinct sub-multiset."""
+    return sum((mult * table[sub] for sub, mult in sub_multisets(ms, k)), F(0))
 
 
 def sample_reference(model, n, seed):

@@ -14,7 +14,7 @@ from urnova.coefficients import (
     psi_coeff,
     theta_table,
 )
-from urnova.combinatorics import binomial, star_binomial
+from urnova.combinatorics import binomial
 from urnova.errors import DegenerateAssumption, ZeroDenominator
 
 rationals = st.fractions(min_value=F(1, 4), max_value=6, max_denominator=8)
@@ -49,7 +49,7 @@ class TestPsi:
 
     def test_iid_collapses_to_count(self):
         M, q, n, m = 5, 1, 2, 2
-        assert psi_coeff(M, q, n, m, F(2), F(0)) == star_binomial(M - n, m - q)
+        assert psi_coeff(M, q, n, m, F(2), F(0)) == binomial(M - n, m - q)
 
 
 class TestGammaAndAssumptions:

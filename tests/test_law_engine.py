@@ -1,20 +1,22 @@
 """Each fast path of the law engine against the oracle it replaced: the
 integer size laws against the ordered pmf, the tower-built diagonal family
 against posterior enumeration, the integer-weight sampling walk against a
-step-by-step Fraction inverse CDF, and the grouped sub-multiset sums against
-plain sums over index subsets.  Models span every replacement regime, with
+step-by-step Fraction inverse CDF, the grouped sub-multiset sums against
+plain sums over index subsets, and the raising operator against the
+sub-multiset oracle.  Models span every replacement regime, with
 zero weights allowed so that letters of zero predictive mass occur."""
 
 import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
+from math import factorial, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_kernel, sample_reference
+from helpers import random_kernel, sample_reference, sub_multiset_sum, sub_multisets
 from urnova import (
     MixtureModel,
     cond_expectation,
@@ -28,7 +30,7 @@ from urnova import (
     urn_model,
     ustatistic,
 )
-from urnova.combinatorics import permutation_count, sub_multiset_sum, sub_multisets
+from urnova.combinatorics import permutation_count, up
 from urnova.errors import (
     DegenerateAssumption,
     LengthExceeded,
@@ -93,8 +95,22 @@ class TestSizeLaw:
                     oracle = model.posterior(observed).joint_pmf
                 for k in range(horizon(model) - m + 1):
                     law = model.extension_law(observed, k)
-                    assert law == {ext: permutation_count(ext) * oracle(ext)
-                                   for ext in model.alphabet.multisets(k)}
+                    expected = {ext: permutation_count(ext) * oracle(ext)
+                                for ext in model.alphabet.multisets(k)}
+                    assert law == expected
+                    # the integer primitive, one numerator per multiset in
+                    # canonical order over one denominator
+                    nums, den = model._build_size_law(k, observed)
+                    assert all(type(n) is int for n in nums) and type(den) is int
+                    assert [F(n, den) for n in nums] == list(expected.values())
+                if model.length is not None:
+                    # at k = 1 the urn's pair is A_a + C*n_a over A + C*q,
+                    # unreduced, on alpha and c scaled by their common denominator
+                    scale = lcm(model.c.denominator, *(w.denominator for _, w in model.alpha))
+                    cnt = Counter(observed)
+                    assert model._build_size_law(1, observed) == (
+                        [scale * (w + model.c * cnt[label]) for label, w in model.alpha],
+                        scale * (model.alpha_total + model.c * m))
                 step = model.extension_law(observed, 1)
                 assert model.predictive(observed) == {
                     label: step[(label,)] for label in model.alphabet.labels
@@ -208,6 +224,13 @@ class TestSubMultisets:
             table = {sub: F(rng.randint(-9, 9), rng.randint(1, 9))
                      for sub in set(combinations(ms, k))}
             assert sub_multiset_sum(table, ms, k) == plain_sum(table, ms, k)
+            # the raising operator, applied j times over the sub-multisets
+            # of ms (a set closed under removing a label), sums j! times over
+            raised = table
+            for j in range(1, len(ms) - k + 1):
+                raised = up(raised, set(combinations(ms, k + j)))
+                for sub, value in raised.items():
+                    assert value == factorial(j) * sub_multiset_sum(table, sub, k)
 
     @given(model=models(), seed=st.integers(0, 2**16), data=st.data())
     @settings(max_examples=40, deadline=None)
