@@ -24,7 +24,7 @@ from .decomposition import (
     wor_level_variance_derived,
     wor_level_variance_printed,
 )
-from .errors import IoError, ParseError, UrnovaError, ValidationError
+from .errors import IoError, ParseError, UnknownSymbol, UrnovaError, ValidationError
 from .kernels import BUILTIN_KERNELS, SymmetricKernel, builtin_kernel, expectation, from_table
 from .models import (
     MixtureModel,
@@ -85,6 +85,10 @@ def parse_model_file(path):
         if not isinstance(entry, dict) or not isinstance(entry.get("label"), str):
             raise ParseError(f"{path}: symbols[{i}] needs a string label, not {entry!r}")
         label = entry["label"]
+        if not label or any(ch.isspace() or ch == "," for ch in label):
+            # CSV rows join labels with spaces and --seq splits on commas
+            raise ParseError(f"{path}: symbols[{i}] label must be non-empty, without "
+                             f"whitespace or commas, not {label!r}")
         if "value" in entry and entry["value"] is not None:
             symbols.append((label, _rational(entry["value"], f"{path}: symbols[{i}].value")))
         else:
@@ -93,7 +97,10 @@ def parse_model_file(path):
         label: _rational(v, f"{path}: alpha[{label!r}]")
         for label, v in doc["alpha"].items()
     }
-    return urn_model(symbols, alpha, _rational(doc["c"], f"{path}: c"), doc["length"])
+    try:
+        return urn_model(symbols, alpha, _rational(doc["c"], f"{path}: c"), doc["length"])
+    except UnknownSymbol as exc:  # only an alpha key can name a symbol not in symbols
+        raise UnknownSymbol(f"{path}: alpha: {exc}") from None
 
 
 def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
@@ -127,7 +134,10 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
             raise ParseError(f"{path}: entries[{i}] needs multiset and value, not {entry!r}")
         labels = _expand_multiset(entry["multiset"], f"{path}: entries[{i}].multiset")
         entries.append((labels, _rational(entry["value"], f"{path}: entries[{i}].value")))
-    return from_table(model.alphabet, _arity(doc, path), entries)
+    try:
+        return from_table(model.alphabet, _arity(doc, path), entries)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: entries: {exc}") from None
 
 
 def _arity(doc, path) -> int:

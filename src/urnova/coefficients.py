@@ -8,9 +8,9 @@ ratio c/alpha(A) alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .combinatorics import binomial, falling, prod, rising
 from .errors import DegenerateAssumption, ZeroDenominator
@@ -72,8 +72,7 @@ def assumption_check(M: int, alpha_total, c) -> tuple:
     return tuple(bad)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """All constants needed to decompose statistics at one horizon."""
 
     M: int

@@ -11,7 +11,7 @@ which is where all the structure of the decomposition lives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -20,7 +20,7 @@ from .coefficients import phi_coeff, psi_coeff
 from .combinatorics import binomial, integer_numerators, prod
 from .errors import ArityMismatch, HorizonTooShort, IndexOutOfRange
 from .kernels import SymmetricKernel
-from .models import check_horizon
+from .models import Record, check_horizon
 
 
 def cond_expectation(model, statistic: SymmetricKernel, common, extra=()) -> Fraction:
@@ -48,17 +48,11 @@ def cond_expectation(model, statistic: SymmetricKernel, common, extra=()) -> Fra
     return total
 
 
-@dataclass(frozen=True)
-class DiagonalFamily:
+class DiagonalFamily(Record, namedtuple("DiagonalFamily", "model statistic nums dens")):
     """The conditionals of a statistic given q of its own coordinates,
     q = 0 .. arity, tabulated on the model's support multisets.  Level q
     is kept as integer numerators nums[q] = {multiset: N} over one integer
     denominator dens[q]."""
-
-    model: object
-    statistic: SymmetricKernel
-    nums: tuple
-    dens: tuple
 
     @cached_property
     def levels(self) -> tuple:

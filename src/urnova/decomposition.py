@@ -9,7 +9,7 @@ of T's diagonal conditionals, with coefficients from the theta recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -29,18 +29,13 @@ from .errors import (
     ZeroDenominator,
 )
 from .kernels import SymmetricKernel, expectation, ustatistic
-from .models import check_horizon
+from .models import Record, check_horizon
 
 
-@dataclass(frozen=True)
-class HoeffdingDecomposition:
-    """Mean plus one completely degenerate kernel per level."""
-
-    model: object
-    statistic: SymmetricKernel
-    horizon: int
-    mean: Fraction
-    kernels: tuple  # kernels[s-1] has arity s
+class HoeffdingDecomposition(
+        Record, namedtuple("HoeffdingDecomposition", "model statistic horizon mean kernels")):
+    """Mean plus one completely degenerate kernel per level; kernels[s-1]
+    has arity s."""
 
     def reconstruction_value(self, labels) -> Fraction:
         """mean + sum over levels and index subsets; equals the statistic."""

@@ -9,7 +9,7 @@ the linear algebra on kernels (null spaces, projections) direct.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -27,14 +27,12 @@ from .errors import (
     MissingMultiset,
     NonNumericAlphabet,
 )
-from .models import Alphabet, as_fraction, check_horizon
+from .models import Alphabet, Record, as_fraction, check_horizon
 
 
-@dataclass(frozen=True)
-class SymmetricKernel:
-    arity: int
-    alphabet: Alphabet
-    entries: tuple  # ((multiset, Fraction), ...) in canonical multiset order
+class SymmetricKernel(Record, namedtuple("SymmetricKernel", "arity alphabet entries")):
+    """Kernel of ``arity`` over ``alphabet``; ``entries`` is
+    ((multiset, Fraction), ...) in canonical multiset order."""
 
     @cached_property
     def table(self) -> dict:
@@ -45,7 +43,7 @@ class SymmetricKernel:
         return hash((self.arity, self.alphabet, self.entries))
 
     def __hash__(self) -> int:
-        # the dataclass hash of the fields, computed once: kernels key the
+        # the hash of the field tuple, computed once: kernels key the
         # per-model diagonal-family caches
         return self._hash
 

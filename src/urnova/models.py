@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import random
 import struct
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .combinatorics import binomial, integer_numerators, multisets, permutation_count, rising
 from .errors import (
@@ -42,34 +41,50 @@ RNG_ALGORITHM = "mt19937-cdf64"
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to Fraction."""
+    """Coerce ints, 'p/q' strings and Fractions to Fraction; a bool is an
+    int but not a rational."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise ValidationError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Record:
+    """Mixin for the immutable classes built on a ``namedtuple`` of their
+    fields that keep ``cached_property`` caches in an instance dictionary:
+    equal only to an instance of the same class, hashed as the field tuple,
+    and closed to attribute assignment (``cached_property`` writes the
+    instance dictionary directly)."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+
+class Symbol(NamedTuple):
     """One alphabet point; ``value`` is only needed by order statistics."""
 
     label: str
     value: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    symbols: tuple
-
-    def __post_init__(self):
-        labels = [s.label for s in self.symbols]
+class Alphabet(Record, namedtuple("Alphabet", "symbols")):
+    def __new__(cls, symbols: tuple):
+        labels = [s.label for s in symbols]
         if len(set(labels)) != len(labels):
             raise ValidationError("alphabet labels must be pairwise distinct")
         if not labels:
             raise ValidationError("alphabet must not be empty")
+        return super().__new__(cls, symbols)
 
     @cached_property
     def labels(self) -> tuple:
@@ -161,43 +176,38 @@ class _Law:
         return {ext[0]: p for ext, p in self.extension_law(observed, 1).items()}
 
 
-@dataclass(frozen=True)
-class UrnModel(_Law):
+class UrnModel(Record, namedtuple("UrnModel", "alphabet alpha c length"), _Law):
     """Law of ``length`` sequential draws with replacement increment ``c``.
 
     ``alpha`` is kept as a tuple of (label, weight) pairs in alphabet order
     so the model is hashable; ``alpha_of`` gives dictionary-style access.
     """
 
-    alphabet: Alphabet
-    alpha: tuple
-    c: Fraction
-    length: int
-
-    def __post_init__(self):
-        if type(self.length) is not int or self.length < 1:  # bool is an int subclass
+    def __new__(cls, alphabet: Alphabet, alpha: tuple, c: Fraction, length: int):
+        self = super().__new__(cls, alphabet, alpha, c, length)
+        if type(length) is not int or length < 1:  # bool is an int subclass
             raise ValidationError("length must be a positive integer")
-        seen = {label for label, _ in self.alpha}
-        if seen != set(self.alphabet.labels):
+        if {label for label, _ in alpha} != set(alphabet.labels):
             raise ValidationError("alpha must assign a weight to every symbol")
-        for label, w in self.alpha:
+        for label, w in alpha:
             if w < 0:
                 raise ValidationError(f"alpha({label!r}) must be >= 0")
         total = self.alpha_total
         if total == 0:
             raise EmptyMeasure("total alpha mass must be positive")
-        if self.c < 0:
-            step = -self.c
-            for label, w in self.alpha:
+        if c < 0:
+            step = -c
+            for label, w in alpha:
                 if (w / step).denominator != 1:
                     raise ExhaustedUrn(
                         f"alpha({label!r}) must be an integer multiple of |c| "
                         "when c < 0, else a replacement factor turns negative"
                     )
-        if total + self.c * (self.length - 1) <= 0:
+        if total + c * (length - 1) <= 0:
             raise ExhaustedUrn(
                 "a predictive denominator reaches zero within the horizon"
             )
+        return self
 
     @cached_property
     def _alpha_map(self):
@@ -346,8 +356,7 @@ def urn_model(symbols, alpha, c, length) -> UrnModel:
 MIXTURE_ALPHABET = Alphabet((Symbol("0", Fraction(0)), Symbol("1", Fraction(1))))
 
 
-@dataclass(frozen=True)
-class MixtureModel(_Law):
+class MixtureModel(Record, namedtuple("MixtureModel", "epsilon"), _Law):
     """Binary exchangeable trials driven by a uniform rate on (0, epsilon).
 
     The ordered pmf of a sequence with k successes among n trials is the
@@ -355,11 +364,10 @@ class MixtureModel(_Law):
     binomially so every value is rational in epsilon.
     """
 
-    epsilon: Fraction
-
-    def __post_init__(self):
-        if not (0 < self.epsilon <= 1):
+    def __new__(cls, epsilon: Fraction):
+        if not (0 < epsilon <= 1):
             raise ValidationError("epsilon must lie in (0, 1]")
+        return super().__new__(cls, epsilon)
 
     @property
     def alphabet(self) -> Alphabet:

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -43,12 +42,15 @@ def format_decimal(x: Fraction) -> str:
         return f"{(Decimal(x.numerator) / x.denominator).normalize():.12g}"
 
 
-@dataclass
 class Report:
-    meta: dict
-    columns: list
-    rows: list = field(default_factory=list)
-    rational_columns: tuple = ()
+    """A CSV in the making: ``rows`` is a list of {column: value} dicts
+    that grows by ``add``."""
+
+    def __init__(self, meta: dict, columns: list, rows: list = None, rational_columns=()):
+        self.meta = meta
+        self.columns = columns
+        self.rows = [] if rows is None else rows
+        self.rational_columns = rational_columns
 
     def add(self, **values):
         self.rows.append(values)

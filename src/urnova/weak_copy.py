@@ -12,10 +12,10 @@ base, while the (k+1)-marginals move.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .combinatorics import permutation_count, prod, rising
 from .decomposition import decompose
@@ -27,7 +27,7 @@ from .errors import (
     ZeroProjection,
 )
 from .kernels import SymmetricKernel
-from .models import UrnModel
+from .models import Record, UrnModel
 
 
 def dirichlet_moment(model: UrnModel, exponents) -> Fraction:
@@ -43,16 +43,12 @@ def dirichlet_moment(model: UrnModel, exponents) -> Fraction:
     return num / den
 
 
-@dataclass(frozen=True)
-class TiltedModel:
+class TiltedModel(Record, namedtuple("TiltedModel", "base level tilt scale eta")):
     """Base law reweighted by 1 + scale * tilt polynomial of the directing
-    measure; immutable once built."""
-
-    base: UrnModel
-    level: int  # marginals up to this length match the base
-    tilt: SymmetricKernel  # arity level + 1, completely degenerate
-    scale: Fraction
-    eta: Fraction  # requested sup-norm budget for the density tilt
+    measure; immutable once built.  Marginals up to length ``level`` match
+    the base; ``tilt`` is a completely degenerate kernel of arity
+    level + 1; ``eta`` is the requested sup-norm budget for the density
+    tilt."""
 
     @cached_property
     def coefficient_bound(self) -> Fraction:
@@ -72,7 +68,8 @@ class TiltedModel:
     def _extended(self) -> UrnModel:
         """The base urn run ``tilt.arity`` draws past its horizon, so every
         sequence of the base can be followed by one tilt argument block."""
-        return replace(self.base, length=self.base.length + self.tilt.arity)
+        base = self.base
+        return UrnModel(base.alphabet, base.alpha, base.c, base.length + self.tilt.arity)
 
     def marginal_pmf(self, seq) -> Fraction:
         """Exact probability of an ordered sequence under the tilted law:
@@ -116,11 +113,10 @@ def build_weak_copy(base: UrnModel, level: int, seed_statistic: SymmetricKernel,
             "top-level projection of the seed statistic vanishes; pick another seed"
         )
     unscaled = TiltedModel(base, level, tilt, Fraction(0), eta)
-    return replace(unscaled, scale=eta / (2 * unscaled.coefficient_bound))
+    return TiltedModel(base, level, tilt, eta / (2 * unscaled.coefficient_bound), eta)
 
 
-@dataclass(frozen=True)
-class WeakCopyReport:
+class WeakCopyReport(NamedTuple):
     level: int
     checked_length: int
     small_marginals_match: bool

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .combinatorics import binomial, integer_numerators
 from .conditional import diagonal_family
@@ -59,16 +59,14 @@ def degenerate_basis(model, n: int):
     return basis
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     basis_index: int
     overlap: int
     witness: tuple
     value: Fraction
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     level: int
     basis: tuple
     violations: tuple
@@ -159,8 +157,7 @@ def witness_conditional_closed_form(epsilon) -> Fraction:
     return Fraction(1, 8) * num / den
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     epsilon: Fraction
     given_second_zero: Fraction
     given_second_one: Fraction

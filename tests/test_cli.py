@@ -1,6 +1,8 @@
 import csv
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction as F
@@ -344,6 +346,14 @@ class TestParamHash:
         argv = ("decompose", "--model", model_path, "--M", "2", "--kernel")
         assert self.run(tmp_path, *argv, builtin) == self.run(tmp_path, *argv, table)
 
+    def test_decompose_hash_is_pinned(self, tmp_path):
+        # the hash covers the repr of the parsed model and kernel, so a
+        # change in how the records print would change every #meta row
+        model = write_json(tmp_path / "m.json", polya_doc())
+        kernel = write_json(tmp_path / "max.json", {"builtin": "max"})
+        assert (self.run(tmp_path, "decompose", "--model", model, "--kernel", kernel, "--M", "2")
+                == "param_hash=12890f6d6a41")
+
 
 class TestFlagErrors:
     @pytest.mark.parametrize("argv, flag", [
@@ -445,6 +455,67 @@ class TestMalformedDocuments:
         alphabet = Alphabet((Symbol("a"),))
         with pytest.raises(ValidationError):
             UrnModel(alphabet, (("a", F(1)),), F(1), True)
+
+    # a bool is an int subclass, so JSON true/false used to read as 1/0
+    @pytest.mark.parametrize("model, kernel, field, value", [
+        (dict(polya_doc(), c=True), None, "c", True),
+        ({"epsilon": True}, None, "epsilon", True),
+        (dict(polya_doc(), alpha={"a": False, "b": "1"}), None, "alpha['a']", False),
+        (dict(polya_doc(), symbols=[{"label": "a", "value": True}, {"label": "b"}]), None,
+         "symbols[0].value", True),
+        (polya_doc(), {"arity": 1, "entries": [{"multiset": {"a": 1}, "value": "1"},
+                                               {"multiset": {"b": 1}, "value": False}]},
+         "entries[1].value", False),
+    ])
+    def test_boolean_rational_exits_2(self, tmp_path, capsys, model, kernel, field, value):
+        model_path = write_json(tmp_path / "m.json", model)
+        kernel_path = write_json(tmp_path / "k.json", kernel or {"builtin": "max"})
+        assert main(["decompose", "--model", model_path, "--kernel", kernel_path, "--M", "1"]) == 2
+        err = capsys.readouterr().err
+        assert ("k.json" if kernel else "m.json") in err
+        assert field in err and repr(value) in err
+
+    # sample joins labels with spaces and pmf --seq splits on commas
+    @pytest.mark.parametrize("label", ["", "a b", " a", "a\tb", "a\n", "a,b"])
+    def test_label_the_csv_cannot_carry_exits_2(self, tmp_path, capsys, label):
+        doc = dict(polya_doc(), symbols=[{"label": label}, {"label": "b"}],
+                   alpha={label: "1", "b": "1"})
+        code, err = self.run_model(tmp_path, capsys, doc)
+        assert code == 2
+        assert "m.json" in err and "symbols[0]" in err and repr(label) in err
+
+    @pytest.mark.parametrize("model, kernel, where, message", [
+        (dict(polya_doc(), alpha={"a": "1", "b": "1", "z": "1"}), None,
+         "m.json: alpha", "unknown symbol 'z'"),
+        (polya_doc(), [({"x": 1}, "1"), ({"a": 1}, "1")], "k.json: entries",
+         "unknown symbol 'x'"),
+        (polya_doc(), [({"a": 1}, "1"), ({"a": 1}, "2"), ({"b": 1}, "1")], "k.json: entries",
+         "multiset ('a',) specified twice"),
+        (polya_doc(), [({"a": 1}, "1")], "k.json: entries", "no value for multiset ('b',)"),
+        (polya_doc(), [({"a": 2}, "1")], "k.json: entries", "entry ('a', 'a') has size 2, not 1"),
+    ])
+    def test_validation_errors_name_the_file_and_field(self, tmp_path, capsys, model, kernel,
+                                                       where, message):
+        model_path = write_json(tmp_path / "m.json", model)
+        doc = {"arity": 1, "entries": [{"multiset": ms, "value": v} for ms, v in kernel or []]}
+        kernel_path = write_json(tmp_path / "k.json", doc if kernel else {"builtin": "max"})
+        assert main(["decompose", "--model", model_path, "--kernel", kernel_path, "--M", "1"]) == 3
+        assert f"{where}: {message}" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # every command is a fresh process; these two modules cost about
+        # 10 ms of its start-up and nothing in urnova needs them.  Only the
+        # modules the import adds count, whatever the interpreter loaded
+        # before it.
+        probe = ("import sys; before = set(sys.modules); import urnova.cli; "
+                 "print(' '.join(sorted(set(sys.modules) - before)))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        added = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                               text=True, env=dict(os.environ, PYTHONPATH=src)).stdout.split()
+        assert "urnova.cli" in added
+        assert "dataclasses" not in added and "inspect" not in added
 
 
 class TestZhaoChenFlags:

@@ -1,3 +1,4 @@
+from collections import namedtuple
 from fractions import Fraction as F
 from itertools import product
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnova import MixtureModel, urn_model
+from urnova import Alphabet, MixtureModel, Symbol, builtin_kernel, urn_model
 from urnova.errors import (
     EmptyMeasure,
     ExhaustedUrn,
@@ -52,6 +53,83 @@ class TestConstruction:
     def test_extendibility_is_reported_not_fatal(self):
         assert not wor_uniform(["a", "b", "c"], 2).is_double_extendible
         assert urn_model(["a"] , {"a": 1}, 0, 5).is_double_extendible
+
+
+# reprs at the last commit built on dataclasses; param_hash hashes them
+MODEL_REPR = (
+    "UrnModel(alphabet=Alphabet(symbols=(Symbol(label='a', value=Fraction(0, 1)), "
+    "Symbol(label='b', value=Fraction(1, 2)))), alpha=(('a', Fraction(1, 1)), "
+    "('b', Fraction(3, 2))), c=Fraction(-1, 2), length=3)"
+)
+KERNEL_REPR = (
+    "SymmetricKernel(arity=2, alphabet=Alphabet(symbols=(Symbol(label='a', "
+    "value=Fraction(0, 1)), Symbol(label='b', value=Fraction(1, 2)))), entries=((('a', 'a'), "
+    "Fraction(0, 1)), (('a', 'b'), Fraction(1, 2)), (('b', 'b'), Fraction(1, 2))))"
+)
+
+
+class TestRecords:
+    """Models, alphabets and kernels are immutable records: they print as
+    before, equal only their own class and hash as their field tuple."""
+
+    def model(self):
+        return urn_model([("a", 0), ("b", F(1, 2))], {"a": 1, "b": F(3, 2)}, F(-1, 2), 3)
+
+    def test_repr_is_pinned(self):
+        model = self.model()
+        assert repr(model) == MODEL_REPR
+        assert repr(builtin_kernel(model.alphabet, 2, "max")) == KERNEL_REPR
+        assert repr(MixtureModel(F(1, 3))) == "MixtureModel(epsilon=Fraction(1, 3))"
+
+    def test_equal_only_within_the_class(self):
+        model = self.model()
+        kernel = builtin_kernel(model.alphabet, 2, "max")
+        for record, names in [
+            (model, "alphabet alpha c length"),
+            (kernel, "arity alphabet entries"),
+            (model.alphabet, "symbols"),
+            (MixtureModel(F(1, 3)), "epsilon"),
+        ]:
+            fields = tuple(getattr(record, name) for name in names.split())
+            assert record != fields and fields != record and not record == fields
+            subclass = type("Other", (type(record),), {})(*fields)
+            assert record != subclass and subclass != record and not record == subclass
+            # a bare namedtuple equals every equal tuple on its own side
+            named = namedtuple(type(record).__name__, names)(*fields)
+            assert record != named and not record == named
+            assert hash(record) == hash(fields)
+        assert self.model() == model and hash(self.model()) == hash(model)
+
+    def test_immutable_and_caches_start_empty(self):
+        model = self.model()
+        model.size_law(2)
+        with pytest.raises(AttributeError):
+            model.c = F(1)
+        with pytest.raises(AttributeError):
+            model.extra = 1
+        again = self.model()
+        assert again == model
+        assert "_size_laws" in vars(model) and "_size_laws" not in vars(again)
+
+    @pytest.mark.parametrize("length, alpha, error", [
+        (0, {"a": 1, "b": 1}, ValidationError),
+        (-2, {"a": 1, "b": 1}, ValidationError),
+        (3, {"a": -1, "b": 2}, ValidationError),
+        (3, {"a": 1, "z": 1}, UnknownSymbol),
+        (3, {"a": 0, "b": 0}, EmptyMeasure),
+        (3, {"a": 0.5, "b": 1}, ValidationError),
+        (3, {"a": 1, "b": True}, ValidationError),
+    ])
+    def test_bad_fields_raise_the_same_class(self, length, alpha, error):
+        with pytest.raises(ValidationError) as exc:
+            urn_model(["a", "b"], alpha, 1, length)
+        assert type(exc.value) is error
+
+    def test_bad_alphabet_raises(self):
+        for symbols in [(), (Symbol("a"), Symbol("a"))]:
+            with pytest.raises(ValidationError) as exc:
+                Alphabet(symbols)
+            assert type(exc.value) is ValidationError
 
 
 class TestJointPmf:
