@@ -122,7 +122,11 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
         target = None
         if "multiset" in doc:
             target = _expand_multiset(doc["multiset"], f"{path}: multiset")
-        return builtin_kernel(model.alphabet, size, name, target)
+        try:
+            return builtin_kernel(model.alphabet, size, name, target)
+        except ValidationError as exc:
+            field = "multiset" if name == "indicator" else "builtin"
+            raise type(exc)(f"{path}: {field}: {exc}") from None
     for key in ("arity", "entries"):
         if key not in doc:
             raise ParseError(f"{path}: missing field {key!r}")
@@ -281,7 +285,7 @@ def cmd_decompose(args):
             side = f"{args.out}.level{s}.json"
             try:
                 with open(side, "w") as fh:
-                    json.dump(kernel_to_json(kernel), fh, indent=1, sort_keys=True)
+                    fh.write(json.dumps(kernel_to_json(kernel), indent=1, sort_keys=True))
             except OSError as exc:
                 raise IoError(f"cannot write {side}: {exc}") from exc
     return rep

@@ -20,7 +20,8 @@ def phi_coeff(n: int, m: int, r: int, p: int, alpha_total, c) -> Fraction:
     """Weight of a p-step promotion when conditioning m coordinates, r of
     them shared, against an n-coordinate target.
 
-    Empty products are 1 and c**0 is 1 even at c = 0.
+    Empty products are 1 and c**0 is 1 even at c = 0.  The Fraction oracle
+    of phi_table, which production code reads instead.
     """
     if not (1 <= m <= n and 0 <= r <= m and 0 <= p <= m - r):
         raise ValueError(f"bad indices n={n} m={m} r={r} p={p}")
@@ -36,7 +37,8 @@ def psi_coeff(M: int, q: int, n: int, m: int, alpha_total, c) -> Fraction:
     """Aggregated promotion weight over all placements of an m-set against
     a fixed n-set, grouped by the size-q surviving argument set.
 
-    q = 0 is the constant term of the aggregation.
+    q = 0 is the constant term of the aggregation.  The Fraction oracle of
+    _psi_sum over phi_table.
     """
     if not (0 <= q <= m <= n <= M):
         raise ValueError(f"bad indices M={M} q={q} n={n} m={m}")
@@ -54,47 +56,18 @@ def _psi_sum(M: int, q: int, n: int, m: int, phi) -> Fraction:
     return total
 
 
-def gamma_coeff(M: int, k: int, alpha_total, c) -> Fraction:
-    pivot = psi_coeff(M, k, k, k, alpha_total, c)
-    if pivot == 0:
-        raise DegenerateAssumption(f"pivot at (q={k}, n={k}) vanishes")
-    return 1 / pivot
-
-
-def assumption_check(M: int, alpha_total, c) -> tuple:
-    """All (q, n) pairs whose pivot vanishes; empty means the coefficient
-    recursion is well posed.  Always empty when c >= 0."""
-    bad = []
-    for n in range(1, M + 1):
-        for q in range(1, n + 1):
-            if psi_coeff(M, q, n, q, alpha_total, c) == 0:
-                bad.append((q, n))
-    return tuple(bad)
-
-
-class CoefficientTable(NamedTuple):
-    """All constants needed to decompose statistics at one horizon."""
-
-    M: int
-    alpha_total: Fraction
-    c: Fraction
-    phi: dict
-    psi: dict
-    gamma: dict
-    theta: dict
-    theta_star: dict
-
-
-def _compute_maps(M: int, alpha_total, c):
-    """Uncached construction of the five coefficient maps.
+def phi_table(M: int, rate):
+    """phi(n, m, r, p) at alpha(A) = 1 and c = rate, as a memoised lookup
+    for indices up to M.
 
     With rate c/alpha(A) = P/Q in lowest terms, alpha + c*t is a multiple
-    of Q + P*t, so every phi entry is a ratio of the integer products
+    of Q + P*t, so every entry is a ratio of the integer products
     R[x][k] = prod_{t=x}^{x+k-1} (Q + P*t):
     phi(n, m, r, p) = P^p * falling(m-r, p) * R[r+p][m-r-p] / R[n][m-r].
-    Each entry is built once, in O(1), and psi is summed from them.
+    The formula also holds for m > n, where it weights the conditional of
+    an m-argument statistic given n observed values (expand_conditional).
     """
-    rate = Fraction(c) / Fraction(alpha_total)
+    rate = Fraction(rate)
     P, Q = rate.numerator, rate.denominator
     R = [rising(Q + P * x, P, M) for x in range(M + 1)]
     memo = {}
@@ -111,6 +84,50 @@ def _compute_maps(M: int, alpha_total, c):
             memo[key] = Fraction(P**p * falling(m - r, p) * R[r + p][m - r - p], den)
         return memo[key]
 
+    return phi_at
+
+
+def gamma_coeff(M: int, k: int, alpha_total, c) -> Fraction:
+    if not 1 <= k <= M:
+        raise ValueError(f"bad level k={k} for M={M}")
+    pivot = _psi_sum(M, k, k, k, phi_table(M, Fraction(c) / alpha_total))
+    if pivot == 0:
+        raise DegenerateAssumption(f"pivot at (q={k}, n={k}) vanishes")
+    return 1 / pivot
+
+
+def assumption_check(M: int, alpha_total, c) -> tuple:
+    """All (q, n) pairs whose pivot vanishes; empty means the coefficient
+    recursion is well posed.  Always empty when c >= 0."""
+    phi = phi_table(M, Fraction(c) / alpha_total)
+    return _vanishing_pivots(M, lambda q, n: _psi_sum(M, q, n, q, phi))
+
+
+def _vanishing_pivots(M: int, pivot) -> tuple:
+    """The (q, n) pairs, 1 <= q <= n <= M, at which pivot(q, n) = psi(q, n, q)
+    is zero."""
+    return tuple(
+        (q, n) for n in range(1, M + 1) for q in range(1, n + 1) if pivot(q, n) == 0
+    )
+
+
+class CoefficientTable(NamedTuple):
+    """All constants needed to decompose statistics at one horizon."""
+
+    M: int
+    alpha_total: Fraction
+    c: Fraction
+    phi: dict
+    psi: dict
+    gamma: dict
+    theta: dict
+    theta_star: dict
+
+
+def _compute_maps(M: int, alpha_total, c):
+    """Uncached construction of the five coefficient maps; each phi entry
+    is built once by phi_table, and psi is summed from them."""
+    phi_at = phi_table(M, Fraction(c) / Fraction(alpha_total))
     # psi reads only phi entries whose denominator factors alpha + c*t have
     # 1 <= t < M, as the pivots psi(1, t, 1) do; so psi fails exactly where
     # the pivots do, and a vanishing pivot is reported before the remaining
@@ -119,9 +136,7 @@ def _compute_maps(M: int, alpha_total, c):
         (q, n, m): _psi_sum(M, q, n, m, phi_at)
         for n in range(1, M + 1) for m in range(1, n + 1) for q in range(m + 1)
     }
-    bad = tuple(
-        (q, n) for n in range(1, M + 1) for q in range(1, n + 1) if psi[(q, n, q)] == 0
-    )
+    bad = _vanishing_pivots(M, lambda q, n: psi[(q, n, q)])
     if bad:
         raise DegenerateAssumption(f"vanishing pivots at (q, n) pairs {bad}")
     phi = {
@@ -175,23 +190,15 @@ def theta_table(M: int, alpha_total, c) -> CoefficientTable:
 
 def pair_covariance_factor(n: int, r: int, alpha_total, c) -> Fraction:
     """Multiplier turning E[T*V] on one coordinate block into the covariance
-    of T and V placed on blocks sharing r of their n coordinates."""
+    of T and V placed on blocks sharing r of their n coordinates:
+    phi(n, n, r, n - r)."""
     if not (0 <= r <= n):
         raise ValueError(f"bad overlap r={r} for arity {n}")
-    den = prod(alpha_total + c * (n + l - 1) for l in range(1, n - r + 1))
-    if den == 0:
-        raise ZeroDenominator("vanishing denominator in covariance factor")
-    return c ** (n - r) * falling(n - r, n - r) / den
+    return phi_table(n, Fraction(c) / alpha_total)(n, n, r, n - r)
 
 
 def level_weight(M: int, s: int, alpha_total, c) -> Fraction:
     """Total weight of level s in the covariance of two horizon-M
     statistics: the number of block pairs at each overlap times the
-    pair covariance factor."""
-    total = Fraction(0)
-    for p in range(s + 1):
-        count = binomial(s, p) * binomial(M - s, s - p)
-        if count == 0:
-            continue
-        total += count * pair_covariance_factor(s, p, alpha_total, c)
-    return binomial(M, s) * total
+    pair covariance factor, binomial(M, s) * psi(M; s, s, s)."""
+    return binomial(M, s) * _psi_sum(M, s, s, s, phi_table(M, Fraction(c) / alpha_total))

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .coefficients import phi_coeff, psi_coeff
-from .combinatorics import binomial, integer_numerators, prod
+from .coefficients import _psi_sum, phi_table
+from .combinatorics import binomial, integer_numerators
 from .errors import ArityMismatch, HorizonTooShort, IndexOutOfRange
 from .kernels import SymmetricKernel
 from .models import Record, check_horizon
@@ -112,42 +112,44 @@ def diagonal_family(model, statistic: SymmetricKernel) -> DiagonalFamily:
     return fam
 
 
+def _expansion(model, statistic: SymmetricKernel, coef, top: int, shared,
+               outside) -> Fraction:
+    """sum_{p <= top} coef(phi, p) * (the statistic's diagonal family summed
+    over shared + each p-subset of outside), where phi is the statistic's
+    phi_table at the model's rate."""
+    fam = diagonal_family(model, statistic)
+    phi = phi_table(statistic.arity, model.rate)
+    total = Fraction(0)
+    for p in range(top + 1):
+        weight = coef(phi, p)
+        if weight == 0:
+            continue
+        inner = sum(
+            (fam.value(shared + pick)
+             for pick in itertools.combinations(outside, p)),
+            Fraction(0),
+        )
+        total += weight * inner
+    return total
+
+
 def expand_conditional(model, statistic: SymmetricKernel, common, extra) -> Fraction:
     """Conditional of the statistic with partial overlap, rebuilt from the
     diagonal family alone (no fresh enumeration).
 
     The observed block has r = len(common) shared values and len(extra)
     outside ones; the result is a two-block polynomial identity in the
-    replacement constant, exact for every urn model.
+    replacement constant, exact for every urn model.  Its coefficients are
+    phi(n, arity, r, p) with n = r + len(extra) <= arity observed values.
     """
     common = tuple(common)
     extra = tuple(extra)
-    n = statistic.arity
-    r = len(common)
-    m = r + len(extra)
-    if m > n:
+    n = len(common) + len(extra)
+    if n > statistic.arity:
         raise ArityMismatch("conditioning block larger than the statistic")
-    check_horizon(model, n + len(extra))
-    a, c = model.alpha_total, model.c
-    fam = diagonal_family(model, statistic)
-    den = prod(a + c * (n + l - 1) for l in range(1, m - r + 1))
-    total = Fraction(0)
-    for q in range(r, m + 1):
-        lead = c ** (q - r) * prod(
-            Fraction(n - r - l + 1) for l in range(1, q - r + 1)
-        )
-        if lead == 0:
-            continue
-        beta = Fraction(1) if q == m else prod(a + c * t for t in range(q, m))
-        if beta == 0:
-            continue
-        inner = sum(
-            (fam.value(common + tuple(extra[i] for i in pick))
-             for pick in itertools.combinations(range(len(extra)), q - r)),
-            Fraction(0),
-        )
-        total += lead * beta * inner / den
-    return total
+    check_horizon(model, statistic.arity + len(extra))
+    return _expansion(model, statistic, lambda phi, p: phi(n, statistic.arity, len(common), p),
+                      len(extra), common, extra)
 
 
 def nested_conditional(model, statistic: SymmetricKernel, m: int, overlap: int,
@@ -166,21 +168,8 @@ def nested_conditional(model, statistic: SymmetricKernel, m: int, overlap: int,
     if not (1 <= m <= n <= M and 0 <= r <= m):
         raise IndexOutOfRange(f"bad sizes m={m}, n={n}, M={M}, overlap={r}")
     check_horizon(model, n + m - r)
-    fam = diagonal_family(model, statistic)
-    shared = conditioning[:r]
-    outside = conditioning[r:]
-    total = Fraction(0)
-    for p in range(m - r + 1):
-        coef = phi_coeff(n, m, r, p, model.alpha_total, model.c)
-        if coef == 0:
-            continue
-        inner = sum(
-            (fam.value(shared + pick)
-             for pick in itertools.combinations(outside, p)),
-            Fraction(0),
-        )
-        total += coef * inner
-    return total
+    return _expansion(model, statistic, lambda phi, p: phi(n, m, r, p), m - r,
+                      conditioning[:r], conditioning[r:])
 
 
 def nested_conditional_at(model, statistic: SymmetricKernel, block, observed_block,
@@ -217,19 +206,8 @@ def nested_conditional_sum(model, statistic: SymmetricKernel, m: int,
     M = statistic.arity
     if not (1 <= m <= n <= M):
         raise IndexOutOfRange(f"bad sizes m={m}, n={n}, M={M}")
-    fam = diagonal_family(model, statistic)
-    total = Fraction(0)
-    for q in range(m + 1):
-        coef = psi_coeff(M, q, n, m, model.alpha_total, model.c)
-        if coef == 0:
-            continue
-        inner = sum(
-            (fam.value(pick)
-             for pick in itertools.combinations(conditioning, q)),
-            Fraction(0),
-        )
-        total += coef * inner
-    return total
+    return _expansion(model, statistic, lambda phi, q: _psi_sum(M, q, n, m, phi), m,
+                      (), conditioning)
 
 
 def symmetrized_offdiagonal(model, statistic: SymmetricKernel, overlap: int) -> SymmetricKernel:

@@ -350,7 +350,7 @@ def urn_model(symbols, alpha, c, length) -> UrnModel:
     pairs = tuple(
         (label, as_fraction(alpha.get(label, 0))) for label in alphabet.labels
     )
-    return UrnModel(alphabet, pairs, as_fraction(c), int(length))
+    return UrnModel(alphabet, pairs, as_fraction(c), length)
 
 
 MIXTURE_ALPHABET = Alphabet((Symbol("0", Fraction(0)), Symbol("1", Fraction(1))))

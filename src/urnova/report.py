@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -91,11 +92,17 @@ class Report:
 
 def render_csv(report: Report, path=None):
     """Write the report to `path`, or stdout when no path is given."""
-    if path is None:
-        report.render(sys.stdout)
-        return
     try:
-        with open(path, "w", newline="") as fh:
-            report.render(fh)
+        if path is None:
+            report.render(sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", newline="") as fh:
+                report.render(fh)
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        if path is None:  # e.g. a closed pipe
+            # fd 1 now discards, so the flush at interpreter exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise IoError(f"cannot write {path or 'stdout'}: {exc}") from exc

@@ -12,9 +12,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnova import Alphabet, Symbol, UrnModel, expectation, from_table, ustatistic
-from urnova.coefficients import phi_coeff, psi_coeff
-from urnova.conditional import cond_expectation, symmetrized_offdiagonal
+from urnova import (
+    Alphabet,
+    Symbol,
+    UrnModel,
+    builtin_kernel,
+    decompose,
+    expectation,
+    from_table,
+    urn_model,
+    ustatistic,
+)
+from urnova.coefficients import assumption_check, gamma_coeff, phi_coeff, psi_coeff
+from urnova.conditional import (
+    cond_expectation,
+    expand_conditional,
+    nested_conditional,
+    nested_conditional_sum,
+    symmetrized_offdiagonal,
+)
+from urnova.decomposition import (
+    covariance_levels,
+    degenerate_cov,
+    project_degenerate_ustat,
+    project_level,
+    wor_level_variance_derived,
+)
 from urnova.cli import COMMANDS, kernel_to_json, main, parse_kernel_file, parse_model_file
 from urnova.errors import ExhaustedUrn, ParseError, ValidationError
 from urnova.report import Report, format_decimal, render_csv
@@ -493,12 +516,17 @@ class TestMalformedDocuments:
          "multiset ('a',) specified twice"),
         (polya_doc(), [({"a": 1}, "1")], "k.json: entries", "no value for multiset ('b',)"),
         (polya_doc(), [({"a": 2}, "1")], "k.json: entries", "entry ('a', 'a') has size 2, not 1"),
+        (polya_doc(), {"builtin": "indicator", "multiset": {"z": 2}, "arity": 2},
+         "k.json: multiset", "unknown symbol 'z'"),
+        (dict(polya_doc(), symbols=[{"label": "a"}, {"label": "b"}]), {"builtin": "max"},
+         "k.json: builtin", "builtin 'max' needs numeric symbol values"),
     ])
     def test_validation_errors_name_the_file_and_field(self, tmp_path, capsys, model, kernel,
                                                        where, message):
         model_path = write_json(tmp_path / "m.json", model)
-        doc = {"arity": 1, "entries": [{"multiset": ms, "value": v} for ms, v in kernel or []]}
-        kernel_path = write_json(tmp_path / "k.json", doc if kernel else {"builtin": "max"})
+        if isinstance(kernel, list):
+            kernel = {"arity": 1, "entries": [{"multiset": ms, "value": v} for ms, v in kernel]}
+        kernel_path = write_json(tmp_path / "k.json", kernel or {"builtin": "max"})
         assert main(["decompose", "--model", model_path, "--kernel", kernel_path, "--M", "1"]) == 3
         assert f"{where}: {message}" in capsys.readouterr().err
 
@@ -516,6 +544,42 @@ class TestStartup:
                                text=True, env=dict(os.environ, PYTHONPATH=src)).stdout.split()
         assert "urnova.cli" in added
         assert "dataclasses" not in added and "inspect" not in added
+
+
+class TestClosedStdout:
+    """A report written to a closed pipe exits 6 with error[io], and no
+    traceback, also from the interpreter's flush at exit."""
+
+    def spawn(self, tmp_path, argv, stdout):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        # stdout block-buffered, as it is on a pipe unless PYTHONUNBUFFERED is set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        return subprocess.Popen([sys.executable, "-m", "urnova.cli", argv[0], "--model", model,
+                                 *argv[1:]], stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    def check(self, child):
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 6
+        assert err.startswith("error[io]: cannot write stdout")
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_reader_leaving_after_one_line(self, tmp_path):
+        # the rows outgrow the pipe buffer, so the write after the reader
+        # leaves meets a closed pipe
+        child = self.spawn(tmp_path, ["sample", "--count", "20000", "--seed", "1"],
+                           subprocess.PIPE)
+        assert child.stdout.readline().startswith(b"#meta")
+        child.stdout.close()
+        self.check(child)
+
+    def test_report_smaller_than_the_stream_buffer(self, tmp_path):
+        # nothing is written before the flush, and the pipe has no reader
+        read, write = os.pipe()
+        os.close(read)
+        child = self.spawn(tmp_path, ["validate"], write)
+        os.close(write)
+        self.check(child)
 
 
 class TestZhaoChenFlags:
@@ -551,9 +615,11 @@ class TestLemma3Flags:
 
 
 class TestOracleIsolation:
-    """Production commands never reach the enumeration oracles."""
+    """Production commands and routes never reach the enumeration or
+    Fraction coefficient oracles."""
 
-    def test_commands_run_without_oracles(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def no_oracles(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("an oracle was called")
 
@@ -565,6 +631,29 @@ class TestOracleIsolation:
                         if value is oracle:
                             monkeypatch.setattr(module, key, forbidden)
         monkeypatch.setattr(UrnModel, "joint_pmf", forbidden)
+
+    def test_expansions_and_constants_run_without_oracles(self, no_oracles):
+        # the enumeration oracle is patched only inside urnova, so this
+        # module can still compare against it
+        model = urn_model([("a", 0), ("b", 1), ("c", 3)], {"a": 2, "b": 2, "c": 4}, F(-1), 5)
+        statistic = builtin_kernel(model.alphabet, 3, "max")
+        centered = statistic.shift(-expectation(model, statistic))
+        kernel = decompose(model, centered, 3).kernels[1]
+        assert (expand_conditional(model, statistic, ("a",), ("b",))
+                == cond_expectation(model, statistic, ("a",), ("b",)) == F(43, 15))
+        assert nested_conditional(model, statistic, 2, 1, ("a", "c", "b")) == F(41, 15)
+        assert nested_conditional_sum(model, statistic, 2, ("a", "b")) == F(71, 9)
+        assert gamma_coeff(3, 2, model.alpha_total, model.c) == F(3, 2)
+        assert assumption_check(3, model.alpha_total, model.c) == ()
+        assert (project_degenerate_ustat(model, kernel, 3)
+                == project_level(model, ustatistic(kernel, 3), 3, 2))
+        assert degenerate_cov(model, kernel, kernel, 1) == F(-1, 98)
+        levels, total = covariance_levels(model, centered, centered, 3)
+        assert levels == (F(3, 35), F(6, 49), F(2, 35))
+        assert total == expectation(model, centered.pointwise_product(centered))
+        assert wor_level_variance_derived(6, 3, 2) == F(3, 2)
+
+    def test_commands_run_without_oracles(self, tmp_path, no_oracles):
         model = write_json(tmp_path / "m.json", polya_doc())
         k_max = write_json(tmp_path / "max.json", {"builtin": "max"})
         k_min = write_json(tmp_path / "min.json", {"builtin": "min"})

@@ -194,7 +194,29 @@ class TestIntegerPhiTable:
         assert raised == {None, ZeroDenominator, DegenerateAssumption}
 
 
+def outcome(fn):
+    """fn(), or the class ZeroDenominator when it raises that."""
+    try:
+        return fn()
+    except ZeroDenominator:
+        return ZeroDenominator
+
+
 class TestCovarianceWeights:
+    @given(n=st.integers(1, 7), rate=RATES, data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_pair_factor_is_the_phi_oracle(self, n, rate, data):
+        r = data.draw(st.integers(0, n))
+        assert (outcome(lambda: pair_covariance_factor(n, r, F(1), rate))
+                == outcome(lambda: phi_coeff(n, n, r, n - r, F(1), rate)))
+
+    @given(M=st.integers(1, 8), rate=RATES, data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_level_weight_is_the_psi_oracle(self, M, rate, data):
+        s = data.draw(st.integers(1, M))
+        assert (outcome(lambda: level_weight(M, s, F(1), rate))
+                == outcome(lambda: binomial(M, s) * psi_coeff(M, s, s, s, F(1), rate)))
+
     def test_pair_factor_full_overlap(self):
         assert pair_covariance_factor(3, 3, F(2), F(5)) == 1
 

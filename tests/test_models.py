@@ -119,6 +119,10 @@ class TestRecords:
         (3, {"a": 0, "b": 0}, EmptyMeasure),
         (3, {"a": 0.5, "b": 1}, ValidationError),
         (3, {"a": 1, "b": True}, ValidationError),
+        # the length is passed on as given, never truncated or parsed
+        (2.7, {"a": 1, "b": 1}, ValidationError),
+        (True, {"a": 1, "b": 1}, ValidationError),
+        ("3", {"a": 1, "b": 1}, ValidationError),
     ])
     def test_bad_fields_raise_the_same_class(self, length, alpha, error):
         with pytest.raises(ValidationError) as exc:
