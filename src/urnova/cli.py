@@ -244,7 +244,7 @@ def cmd_sample(args):
 
 def cmd_coeffs(args):
     model = _require_urn(parse_model_file(args.model), "coefficient tables")
-    table = theta_table(args.M, model.alpha_total, model.c)
+    table = theta_table(args.M, model.rate)
     rep = Report(
         _meta(args, model),
         ["table", "i1", "i2", "i3", "i4", "value"],
@@ -267,7 +267,7 @@ def cmd_decompose(args):
     model = _require_urn(parse_model_file(args.model), "decomposition")
     statistic = parse_kernel_file(args.kernel[0], model, args.M)
     result = decompose(model, statistic, args.M)
-    table = theta_table(args.M, model.alpha_total, model.c)
+    table = theta_table(args.M, model.rate)
     rep = Report(
         _meta(args, model, statistic),
         ["row", "level", "a", "multiset", "value"],

@@ -1,9 +1,10 @@
 """Rational coefficient tables for urn-model conditional calculus.
 
-Everything here is a pure function of the total weight alpha(A), the
-replacement constant c and integer indices.  All tables are invariant under
-simultaneous scaling (alpha, c) -> (t*alpha, t*c), so caching keys on the
-ratio c/alpha(A) alone.
+The laws with weights (alpha, c) and (t*alpha, t*c) coincide, so every table
+is a pure function of integer indices and the replacement rate
+c/alpha(A), and the production routes take that rate alone.  The Fraction
+oracles phi_coeff and psi_coeff keep the pair (alpha(A), c), so that the
+rescaling invariance stays a tested property.
 """
 
 from __future__ import annotations
@@ -87,19 +88,19 @@ def phi_table(M: int, rate):
     return phi_at
 
 
-def gamma_coeff(M: int, k: int, alpha_total, c) -> Fraction:
+def gamma_coeff(M: int, k: int, rate) -> Fraction:
     if not 1 <= k <= M:
         raise ValueError(f"bad level k={k} for M={M}")
-    pivot = _psi_sum(M, k, k, k, phi_table(M, Fraction(c) / alpha_total))
+    pivot = _psi_sum(M, k, k, k, phi_table(M, rate))
     if pivot == 0:
         raise DegenerateAssumption(f"pivot at (q={k}, n={k}) vanishes")
     return 1 / pivot
 
 
-def assumption_check(M: int, alpha_total, c) -> tuple:
+def assumption_check(M: int, rate) -> tuple:
     """All (q, n) pairs whose pivot vanishes; empty means the coefficient
-    recursion is well posed.  Always empty when c >= 0."""
-    phi = phi_table(M, Fraction(c) / alpha_total)
+    recursion is well posed.  Always empty when rate >= 0."""
+    phi = phi_table(M, rate)
     return _vanishing_pivots(M, lambda q, n: _psi_sum(M, q, n, q, phi))
 
 
@@ -115,8 +116,6 @@ class CoefficientTable(NamedTuple):
     """All constants needed to decompose statistics at one horizon."""
 
     M: int
-    alpha_total: Fraction
-    c: Fraction
     phi: dict
     psi: dict
     gamma: dict
@@ -124,10 +123,10 @@ class CoefficientTable(NamedTuple):
     theta_star: dict
 
 
-def _compute_maps(M: int, alpha_total, c):
+def _compute_maps(M: int, rate):
     """Uncached construction of the five coefficient maps; each phi entry
     is built once by phi_table, and psi is summed from them."""
-    phi_at = phi_table(M, Fraction(c) / Fraction(alpha_total))
+    phi_at = phi_table(M, rate)
     # psi reads only phi entries whose denominator factors alpha + c*t have
     # 1 <= t < M, as the pivots psi(1, t, 1) do; so psi fails exactly where
     # the pivots do, and a vanishing pivot is reported before the remaining
@@ -175,30 +174,23 @@ def _compute_maps(M: int, alpha_total, c):
 
 
 @lru_cache(maxsize=16)
-def _maps_by_rate(M: int, rate: Fraction):
-    return _compute_maps(M, Fraction(1), rate)
+def theta_table(M: int, rate) -> CoefficientTable:
+    """Coefficient table for horizon M at rate c/alpha(A); cached by
+    (M, rate), so equal rates share one table."""
+    return CoefficientTable(M, *_compute_maps(M, rate))
 
 
-def theta_table(M: int, alpha_total, c) -> CoefficientTable:
-    """Coefficient table for horizon M; cached up to joint rescaling of
-    (alpha_total, c)."""
-    alpha_total = Fraction(alpha_total)
-    c = Fraction(c)
-    maps = _maps_by_rate(M, c / alpha_total)
-    return CoefficientTable(M, alpha_total, c, *maps)
-
-
-def pair_covariance_factor(n: int, r: int, alpha_total, c) -> Fraction:
+def pair_covariance_factor(n: int, r: int, rate) -> Fraction:
     """Multiplier turning E[T*V] on one coordinate block into the covariance
     of T and V placed on blocks sharing r of their n coordinates:
     phi(n, n, r, n - r)."""
     if not (0 <= r <= n):
         raise ValueError(f"bad overlap r={r} for arity {n}")
-    return phi_table(n, Fraction(c) / alpha_total)(n, n, r, n - r)
+    return phi_table(n, rate)(n, n, r, n - r)
 
 
-def level_weight(M: int, s: int, alpha_total, c) -> Fraction:
+def level_weight(M: int, s: int, rate) -> Fraction:
     """Total weight of level s in the covariance of two horizon-M
     statistics: the number of block pairs at each overlap times the
     pair covariance factor, binomial(M, s) * psi(M; s, s, s)."""
-    return binomial(M, s) * _psi_sum(M, s, s, s, phi_table(M, Fraction(c) / alpha_total))
+    return binomial(M, s) * _psi_sum(M, s, s, s, phi_table(M, rate))

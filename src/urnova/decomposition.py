@@ -84,7 +84,7 @@ def _level_inputs(model, statistic: SymmetricKernel, horizon: int, s: int):
         raise IndexOutOfRange(f"level {s} outside 1..{horizon}")
     check_horizon(model, horizon)
     fam = _centered_family(model, statistic)
-    return fam, theta_table(horizon, model.alpha_total, model.c)
+    return fam, theta_table(horizon, model.rate)
 
 
 def project_level(model, statistic: SymmetricKernel, horizon: int, s: int) -> SymmetricKernel:
@@ -132,7 +132,7 @@ def project_degenerate_ustat(model, kernel: SymmetricKernel, horizon: int) -> Sy
     n = kernel.arity
     stat = ustatistic(kernel, horizon)
     fam = diagonal_family(model, stat)
-    g = gamma_coeff(horizon, n, model.alpha_total, model.c)
+    g = gamma_coeff(horizon, n, model.rate)
     return _combine_levels(model, fam, {n: g}, horizon)
 
 
@@ -149,7 +149,7 @@ def degenerate_cov(model, left: SymmetricKernel, right: SymmetricKernel,
     check_horizon(model, 2 * n - overlap)
     if not (is_degenerate(model, left) and is_degenerate(model, right)):
         raise DegeneracyViolated("both kernels must be completely degenerate")
-    factor = pair_covariance_factor(n, overlap, model.alpha_total, model.c)
+    factor = pair_covariance_factor(n, overlap, model.rate)
     return factor * expectation(model, left.pointwise_product(right))
 
 
@@ -164,7 +164,7 @@ def covariance_levels(model, left: SymmetricKernel, right: SymmetricKernel,
     dr = decompose(model, right, horizon)
     levels = []
     for s in range(1, horizon + 1):
-        weight = level_weight(horizon, s, model.alpha_total, model.c)
+        weight = level_weight(horizon, s, model.rate)
         moment = expectation(
             model, dl.kernels[s - 1].pointwise_product(dr.kernels[s - 1])
         )
@@ -211,4 +211,4 @@ def wor_level_variance_printed(population: int, sample: int, level: int,
 def wor_level_variance_derived(population: int, sample: int, level: int) -> Fraction:
     """Same constant derived from the pairwise covariance identity: count
     block pairs at each overlap inside the sample."""
-    return level_weight(sample, level, Fraction(population), Fraction(-1))
+    return level_weight(sample, level, Fraction(-1, population))

@@ -204,12 +204,13 @@ def expectation(model, kernel: SymmetricKernel) -> Fraction:
 # -- closed forms for the maximum of a real-valued urn sequence ---------------
 
 def _raw_max_integral(model, free: int, fixed_values) -> Fraction:
-    """Integral of max(x_1..x_free, fixed...) against the raw product weight
-    measure; the weights are alpha products, not probabilities."""
+    """Integral of max(x_1..x_free, fixed...) against the product of the
+    normalized weights alpha_a/alpha(A), which is the law of free draws
+    only when c = 0."""
     alphabet = model.alphabet
     total = Fraction(0)
     for ms in alphabet.multisets(free):
-        weight = prod(model.alpha_of(label) for label in ms)
+        weight = prod(model.alpha_of(label) / model.alpha_total for label in ms)
         if weight == 0:
             continue
         weight *= permutation_count(ms)
@@ -218,14 +219,14 @@ def _raw_max_integral(model, free: int, fixed_values) -> Fraction:
     return total
 
 
-def _tie_constants(model, draws: int, occupied: int):
-    """Coefficients c^k e_k(1..draws-1) / prod of denominators for a run of
-    `draws` extractions whose measure already carries `occupied` increments."""
-    a, c = model.alpha_total, model.c
-    den = prod(a + c * (occupied + t - 1) for t in range(1, draws + 1))
+def _tie_constants(rate, draws: int, occupied: int):
+    """Coefficients rate^k e_k(1..draws-1) / prod of denominators for a run
+    of `draws` extractions whose measure already carries `occupied`
+    increments, at unit total weight."""
+    den = prod(1 + rate * (occupied + t - 1) for t in range(1, draws + 1))
     out = []
     for k in range(draws):
-        out.append(c**k * elementary_symmetric(draws - 1, k) / den)
+        out.append(rate**k * elementary_symmetric(draws - 1, k) / den)
     return out
 
 
@@ -234,12 +235,12 @@ def max_mean_closed_form(model, horizon: int) -> Fraction:
 
     Ties between draws collapse the maximum onto fewer fresh coordinates;
     the tie pattern count gives elementary symmetric sums and the fresh
-    coordinates integrate against raw alpha products.
+    coordinates integrate against products of normalized weights.
     """
     check_horizon(model, horizon)
     if not model.alphabet.is_numeric():
         raise NonNumericAlphabet("max needs numeric symbol values")
-    coeffs = _tie_constants(model, horizon, occupied=0)
+    coeffs = _tie_constants(model.rate, horizon, occupied=0)
     total = Fraction(0)
     for k, n_k in enumerate(coeffs):
         if n_k == 0:
@@ -270,15 +271,15 @@ def max_cond_closed_form(model, horizon: int, level: int, args) -> Fraction:
         raise ArityMismatch("more conditioning values than draws")
     if free == 0:
         return max(values)
-    c = model.c
-    coeffs = _tie_constants(model, free, occupied=level)
+    rate = model.rate
+    coeffs = _tie_constants(rate, free, occupied=level)
     total = Fraction(0)
     for k, n_k in enumerate(coeffs):
         if n_k == 0:
             continue
         inner = Fraction(0)
         for j in range(free - k + 1):
-            atom = (level * c) ** (free - k - j)
+            atom = (level * rate) ** (free - k - j)
             if atom == 0:
                 continue
             inner += binomial(free - k, j) * atom * _raw_max_integral(model, j, values)

@@ -132,6 +132,16 @@ class _Law:
     Returned tables are shared: read them, never mutate them.
     """
 
+    @property
+    def rate(self) -> Fraction:
+        """The urn-only routes (expansions, decompositions, closed forms,
+        weak copies) read the law through this rate; a law outside the urn
+        class has none, so it refuses them here."""
+        raise ValidationError(
+            f"{type(self).__name__} has no replacement rate c/alpha(A): "
+            "this route needs an urn model"
+        )
+
     @cached_property
     def _size_laws(self) -> dict:
         return {}

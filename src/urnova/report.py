@@ -47,10 +47,10 @@ class Report:
     """A CSV in the making: ``rows`` is a list of {column: value} dicts
     that grows by ``add``."""
 
-    def __init__(self, meta: dict, columns: list, rows: list = None, rational_columns=()):
+    def __init__(self, meta: dict, columns: list, rational_columns=()):
         self.meta = meta
         self.columns = columns
-        self.rows = [] if rows is None else rows
+        self.rows = []
         self.rational_columns = rational_columns
 
     def add(self, **values):

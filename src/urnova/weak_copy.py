@@ -34,7 +34,7 @@ def dirichlet_moment(model: UrnModel, exponents) -> Fraction:
     """Mixed moment E[prod_a D(a)^m_a] of the directing measure of a
     positive-replacement urn: a ratio of rising factorials of the
     normalized weights."""
-    if model.c <= 0:
+    if model.rate <= 0:
         raise RequiresPositiveC("directing-measure moments need c > 0")
     ms = model.alphabet.canon(exponents)
     cnt = Counter(ms)
@@ -64,27 +64,22 @@ class TiltedModel(Record, namedtuple("TiltedModel", "base level tilt scale eta")
     def certified_density_bound(self) -> Fraction:
         return self.scale * self.coefficient_bound
 
-    @cached_property
-    def _extended(self) -> UrnModel:
-        """The base urn run ``tilt.arity`` draws past its horizon, so every
-        sequence of the base can be followed by one tilt argument block."""
-        base = self.base
-        return UrnModel(base.alphabet, base.alpha, base.c, base.length + self.tilt.arity)
-
     def marginal_pmf(self, seq) -> Fraction:
         """Exact probability of an ordered sequence under the tilted law:
         P(seq) * (1 + scale * E[tilt(next arity draws) | seq]), since the
-        moment E[D^seq D^ms] is the probability of seq followed by ms."""
+        moment E[D^seq D^ms] is the probability of seq followed by ms.  The
+        next draws may run past the base horizon: with c > 0 the urn's law
+        primitive holds for any number of draws."""
         seq = tuple(seq)
         if len(seq) > self.base.length:
             raise LengthExceeded("sequence longer than the base horizon")
-        if self.scale != 0 and self.base.c <= 0:
+        if self.scale != 0 and self.base.rate <= 0:
             raise RequiresPositiveC("directing-measure moments need c > 0")
         p = self.base.multiset_weight(seq) / permutation_count(seq)
         if p == 0 or self.scale == 0:
             return p
         table = self.tilt.table
-        law = self._extended.extension_law(seq, self.tilt.arity)
+        law = self.base._law(self.tilt.arity, self.base.alphabet.canon(seq))
         return p * (1 + self.scale * sum(w * table[ext] for ext, w in law.items()))
 
 
@@ -100,7 +95,7 @@ def build_weak_copy(base: UrnModel, level: int, seed_statistic: SymmetricKernel,
     eta = Fraction(eta)
     if not (0 < eta < 1):
         raise ValidationError("eta must lie in (0, 1)")
-    if base.c <= 0:
+    if base.rate <= 0:
         raise RequiresPositiveC("weak copies are built on c > 0 bases")
     arity = level + 1
     if seed_statistic.arity != arity:

@@ -85,7 +85,7 @@ def test_criterion_01_theta_closed_forms():
         rng = random.Random(101)
         for M in range(2, 7):
             for a, c in random_rate_pairs(rng, M, 20):
-                t = theta_table(M, a, c)
+                t = theta_table(M, c / a)
                 assert t.theta[(1, 1)] == (a + c) / (a + c * M)
                 assert t.theta[(2, 1)] == -(M - 1) * (a + 3 * c) * (a + c) / (
                     (a + c * M) * (a + c * (M + 1)))

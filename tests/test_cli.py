@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -378,6 +379,85 @@ class TestParamHash:
                 == "param_hash=12890f6d6a41")
 
 
+def output_digests(tmp_path) -> dict:
+    """sha256 of every CSV and level sidecar of small runs over the urn
+    regimes c > 0 and c = -1, keyed by file name."""
+    polya = write_json(tmp_path / "polya.json", polya_doc())
+    wor = write_json(tmp_path / "wor.json",
+                     dict(polya_doc(), alpha={"a": "3", "b": "4"}, c="-1", length=3))
+    k_max = write_json(tmp_path / "max.json", {"builtin": "max"})
+    k_min = write_json(tmp_path / "min.json", {"builtin": "min"})
+    level2 = str(tmp_path / "decompose-polya.csv.level2.json")
+    runs = {
+        "coeffs": ["coeffs", "--model", polya, "--M", "6"],
+        "decompose-polya": ["decompose", "--model", polya, "--kernel", k_max, "--M", "3"],
+        "decompose-wor": ["decompose", "--model", wor, "--kernel", k_max, "--M", "3"],
+        "covariance": ["covariance", "--model", polya, "--kernel", k_max, "--kernel", k_min,
+                       "--M", "3"],
+        # reads the level-2 sidecar of the polya decomposition
+        "degenerate-cov": ["degenerate-cov", "--model", polya, "--kernel", level2,
+                           "--kernel", level2, "--overlap", "1"],
+        "weak-copy": ["weak-copy", "--model", polya, "--kernel", k_max, "--level", "2"],
+        "zhao-chen": ["zhao-chen", "--M", "8", "--draws", "4"],
+    }
+    digests = {}
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / f"{name}.csv")]) == 0, name
+        for path in sorted(tmp_path.glob(f"{name}.csv*")):
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+# taken from the runs above; an intended change of the output re-pins them
+PINNED_DIGESTS = {
+    "coeffs.csv": "9bbef79c7d8999ec1100511baf35029f17bf5cea2ae8142fcb408cee943546b6",
+    "decompose-polya.csv": "4e066a63b5d3b6b83efc9caf0a2f9656a33b4c7bdcc65d85ffff5bf120e8ad4c",
+    "decompose-polya.csv.level1.json": "feea3314f8ed288e7231c17f81c58a58749b857d92755a2bfc4f9dcca72e257f",
+    "decompose-polya.csv.level2.json": "a7caee8da587c8c8bb07ee2960d4a317738884441852f154f5b9167776d90b89",
+    "decompose-polya.csv.level3.json": "e3b3e7c861c9243416b6192ece775f127bbf61177a9dc0f2129073a9598896d3",
+    "decompose-wor.csv": "d500258bdbcd41007081614e41581072f66c8483df833797ebcb4ce197901370",
+    "decompose-wor.csv.level1.json": "fcf68185d3c7a5c2be20db8e02b52947bb9e65e6c64a1138e21999d473043499",
+    "decompose-wor.csv.level2.json": "def42498a7807fd189c6faca8e4a7f928ef087e67767f98490ed71cf48cdac19",
+    "decompose-wor.csv.level3.json": "0a2a41d21a199fe446daddbadea3d4d45cd7d4023562fa4eef84289d3ba2def3",
+    "covariance.csv": "c859371f6baed60eb7da5c631bd51081a03648d58eae2cb645e4e98da12c06b8",
+    "degenerate-cov.csv": "3a00f59402b34ca8e9e383792118d819d63f66a7fb485b8820b38155529a0367",
+    "weak-copy.csv": "0dc5184bc4b66fc69077c931cf3cf78d17bc51fef5b6f8f651ae737648ca6f94",
+    "zhao-chen.csv": "5186766390a62b478e748ea2241b69d236dca091511bfe22489754349b2ecdce",
+}
+
+
+class TestPinnedOutputBytes:
+    def test_csv_and_sidecar_bytes_are_pinned(self, tmp_path):
+        # a change to any value, row order or format of a report or a
+        # sidecar changes a digest
+        assert output_digests(tmp_path) == PINNED_DIGESTS
+
+
+URN_ONLY_COMMANDS = {
+    "sample": ("sampling", ["--seed", "1"]),
+    "coeffs": ("coefficient tables", ["--M", "2"]),
+    "decompose": ("decomposition", ["--M", "2"]),
+    "covariance": ("covariance", ["--M", "2"]),
+    "degenerate-cov": ("degenerate covariance", []),
+    "weak-copy": ("weak copies", []),
+}
+
+
+class TestUrnOnlyCommands:
+    @pytest.mark.parametrize("command", sorted(URN_ONLY_COMMANDS))
+    def test_mixture_exits_3_naming_the_operation(self, tmp_path, capsys, command):
+        # the model is refused before any kernel is read: this kernel has no arity
+        operation, flags = URN_ONLY_COMMANDS[command]
+        mix = write_json(tmp_path / "mix.json", {"epsilon": "1/2"})
+        kernel = write_json(tmp_path / "max.json", {"builtin": "max"})
+        kernels = ["--kernel", kernel] * COMMANDS[command].kernels
+        out = tmp_path / "o.csv"
+        assert main([command, "--model", mix, *flags, *kernels, "--out", str(out)]) == 3
+        assert (capsys.readouterr().err
+                == f"error[validation]: {operation} needs an urn model, not a mixture\n")
+        assert not out.exists()
+
+
 class TestFlagErrors:
     @pytest.mark.parametrize("argv, flag", [
         (["validate", "--model", "MODEL", "--M", "3"], "--M"),
@@ -643,8 +723,8 @@ class TestOracleIsolation:
                 == cond_expectation(model, statistic, ("a",), ("b",)) == F(43, 15))
         assert nested_conditional(model, statistic, 2, 1, ("a", "c", "b")) == F(41, 15)
         assert nested_conditional_sum(model, statistic, 2, ("a", "b")) == F(71, 9)
-        assert gamma_coeff(3, 2, model.alpha_total, model.c) == F(3, 2)
-        assert assumption_check(3, model.alpha_total, model.c) == ()
+        assert gamma_coeff(3, 2, model.rate) == F(3, 2)
+        assert assumption_check(3, model.rate) == ()
         assert (project_degenerate_ustat(model, kernel, 3)
                 == project_level(model, ustatistic(kernel, 3), 3, 2))
         assert degenerate_cov(model, kernel, kernel, 1) == F(-1, 98)

@@ -102,7 +102,7 @@ class TestExtractKernel:
         phi = extract_kernel(model, T, M, M)
         fam = diagonal_family(model, T)
         from urnova.coefficients import theta_table
-        table = theta_table(M, model.alpha_total, model.c)
+        table = theta_table(M, model.rate)
         from itertools import combinations
         for ms in model.support_multisets(M):
             tail = sum(
@@ -344,7 +344,7 @@ class TestShortPopulationSampling:
         from urnova.errors import DegenerateAssumption, ZeroDenominator
 
         with pytest.raises((ZeroDenominator, DegenerateAssumption)):
-            theta_table(2, F(3), F(-1))
+            theta_table(2, F(-1, 3))
 
     def test_top_gram_level_vanishes(self):
         rng = random.Random(60)

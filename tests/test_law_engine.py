@@ -249,7 +249,7 @@ class TestSubMultisets:
         statistic = random_kernel(random.Random(seed), model.alphabet, M)
         statistic = statistic.shift(-expectation(model, statistic))
         try:
-            table = theta_table(M, model.alpha_total, model.c)
+            table = theta_table(M, model.rate)
         except (DegenerateAssumption, ZeroDenominator):
             assume(False)  # no coefficient recursion on this short urn
 

@@ -6,7 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnova import Alphabet, MixtureModel, Symbol, builtin_kernel, urn_model
+from urnova import (
+    Alphabet,
+    MixtureModel,
+    Symbol,
+    build_weak_copy,
+    builtin_kernel,
+    covariance_levels,
+    decompose,
+    degenerate_basis,
+    degenerate_cov,
+    expand_conditional,
+    expectation,
+    extract_kernel,
+    max_cond_closed_form,
+    max_mean_closed_form,
+    nested_conditional,
+    nested_conditional_sum,
+    project_degenerate_ustat,
+    project_level,
+    urn_model,
+)
+from urnova.weak_copy import dirichlet_moment
 from urnova.errors import (
     EmptyMeasure,
     ExhaustedUrn,
@@ -311,3 +332,34 @@ class TestMixture:
     def test_rejects_foreign_labels(self):
         with pytest.raises(UnknownSymbol):
             MixtureModel(F(1, 2)).joint_pmf(("a",))
+
+
+MIX = MixtureModel(F(1, 2))
+MAX2 = builtin_kernel(MIX.alphabet, 2, "max")
+MAX3 = builtin_kernel(MIX.alphabet, 3, "max")
+CENTERED2 = MAX2.shift(-expectation(MIX, MAX2))
+# degenerate under the mixture, so the routes that check degeneracy first
+# still reach the rate
+DEGENERATE = degenerate_basis(MIX, 2)[0]
+URN_ONLY_ROUTES = {
+    "expand_conditional": lambda: expand_conditional(MIX, MAX2, ("0",), ("1",)),
+    "nested_conditional": lambda: nested_conditional(MIX, MAX3, 1, 1, ("0", "1")),
+    "nested_conditional_sum": lambda: nested_conditional_sum(MIX, MAX3, 1, ("0", "1")),
+    "decompose": lambda: decompose(MIX, MAX2, 2),
+    "extract_kernel": lambda: extract_kernel(MIX, CENTERED2, 2, 1),
+    "project_level": lambda: project_level(MIX, CENTERED2, 2, 1),
+    "project_degenerate_ustat": lambda: project_degenerate_ustat(MIX, DEGENERATE, 3),
+    "degenerate_cov": lambda: degenerate_cov(MIX, DEGENERATE, DEGENERATE, 1),
+    "covariance_levels": lambda: covariance_levels(MIX, CENTERED2, CENTERED2, 2),
+    "build_weak_copy": lambda: build_weak_copy(MIX, 1, MAX2, F(1, 2)),
+    "max_mean_closed_form": lambda: max_mean_closed_form(MIX, 2),
+    "max_cond_closed_form": lambda: max_cond_closed_form(MIX, 3, 1, ("0",)),
+    "dirichlet_moment": lambda: dirichlet_moment(MIX, ("0",)),
+}
+
+
+class TestNonUrnRefusal:
+    @pytest.mark.parametrize("route", sorted(URN_ONLY_ROUTES))
+    def test_mixture_is_refused_by_the_rate(self, route):
+        with pytest.raises(ValidationError, match="needs an urn model"):
+            URN_ONLY_ROUTES[route]()
