@@ -16,6 +16,7 @@ from urnova import (
     decompose,
     degenerate_basis,
     degenerate_cov,
+    dirichlet_moment,
     expand_conditional,
     expectation,
     extract_kernel,
@@ -27,7 +28,6 @@ from urnova import (
     project_level,
     urn_model,
 )
-from urnova.weak_copy import dirichlet_moment
 from urnova.errors import (
     EmptyMeasure,
     ExhaustedUrn,
