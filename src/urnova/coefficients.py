@@ -4,7 +4,9 @@ The laws with weights (alpha, c) and (t*alpha, t*c) coincide, so every table
 is a pure function of integer indices and the replacement rate
 c/alpha(A), and the production routes take that rate alone.  The Fraction
 oracles phi_coeff and psi_coeff keep the pair (alpha(A), c), so that the
-rescaling invariance stays a tested property.
+rescaling invariance stays a tested property.  theta and theta* are in
+closed form on the factors of phi_table, formed only after the pivots
+psi(q, n, q) are checked (_compute_maps).
 """
 
 from __future__ import annotations
@@ -124,8 +126,15 @@ class CoefficientTable(NamedTuple):
 
 
 def _compute_maps(M: int, rate):
-    """Uncached construction of the five coefficient maps; each phi entry
-    is built once by phi_table, and psi is summed from them."""
+    """Uncached construction of the five coefficient maps.
+
+    phi comes from phi_table and psi is summed from it.  The pivots
+    psi(q, n, q) are checked first; building phi then divides by every
+    factor f(t) = Q + P*t of phi_table with t <= 2M - 1.  theta is not
+    solved for: theta(k, j) = binomial(M-j, k-j) theta*(k, j), where
+    theta*(k, j) = (-1)^(k-j) f(2k-1) prod_{t=j}^{j+k-2} f(t) / prod_{t=M}^{M+k-1} f(t)
+    = (-1)^(k-j) gamma_k phi(k, j+k-1, j, 0), as gamma_k = R[k][k] / R[M][k].
+    """
     phi_at = phi_table(M, rate)
     # psi reads only phi entries whose denominator factors alpha + c*t have
     # 1 <= t < M, as the pivots psi(1, t, 1) do; so psi fails exactly where
@@ -144,32 +153,11 @@ def _compute_maps(M: int, rate):
         for r in range(m + 1) for p in range(m - r + 1)
     }
     gamma = {k: 1 / psi[(k, k, k)] for k in range(1, M + 1)}
-
-    # Levels k = 1..M-1 are solved one at a time.  Within a level, the
-    # aggregation identity couples theta(k, q) only to theta(k, j) with
-    # j >= q, so back-substitution from q = k-1 downward needs just the
-    # pivot psi[(q, k, q)].
-    theta = {}
-    for k in range(1, M):
-        theta[(k, k)] = gamma[k]
-        for q in range(k - 1, 0, -1):
-            acc = Fraction(0)
-            for i in range(q, k):
-                for j in range(q, i + 1):
-                    acc += theta[(i, j)] * psi[(q, k, j)]
-            for j in range(q + 1, k + 1):
-                acc += theta[(k, j)] * psi[(q, k, j)]
-            theta[(k, q)] = -acc / psi[(q, k, q)]
-    # The top level balances all lower ones exactly.
-    for a in range(1, M):
-        theta[(M, a)] = -sum(
-            (theta[(s, a)] for s in range(a, M)), Fraction(0)
-        )
-    theta[(M, M)] = Fraction(1)
-
     theta_star = {
-        (k, a): v / binomial(M - a, k - a) for (k, a), v in theta.items()
+        (k, j): (-1) ** (k - j) * gamma[k] * phi_at(k, j + k - 1, j, 0)
+        for k in range(1, M + 1) for j in range(1, k + 1)
     }
+    theta = {(k, j): binomial(M - j, k - j) * v for (k, j), v in theta_star.items()}
     return phi, psi, gamma, theta, theta_star
 
 

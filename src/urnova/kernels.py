@@ -71,9 +71,6 @@ class SymmetricKernel(Record, namedtuple("SymmetricKernel", "arity alphabet entr
     def __sub__(self, other: "SymmetricKernel") -> "SymmetricKernel":
         return self._with_values(lambda ms, v: v - other.table[ms])
 
-    def __neg__(self) -> "SymmetricKernel":
-        return self._with_values(lambda ms, v: -v)
-
     def scale(self, factor) -> "SymmetricKernel":
         factor = as_fraction(factor)
         return self._with_values(lambda ms, v: factor * v)

@@ -193,6 +193,23 @@ class TestCommands:
         broken = write_json(tmp_path / "broken.json", doc)
         assert main(["validate", "--model", broken]) == 3
 
+    def test_validate_mixture_reports_kind_and_epsilon(self, tmp_path):
+        mix = write_json(tmp_path / "mix.json", {"epsilon": "1/2"})
+        out = tmp_path / "v.csv"
+        assert main(["validate", "--model", mix, "--out", str(out)]) == 0
+        assert {row["field"]: row["value"] for row in read_rows(out)} == {
+            "kind": "mixture", "epsilon": "1/2"}
+
+    def test_sidecar_into_missing_directory_exits_6(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        kernel = write_json(tmp_path / "max.json", {"builtin": "max"})
+        out = tmp_path / "missing" / "d.csv"
+        assert main(["decompose", "--model", model, "--kernel", kernel, "--M", "2",
+                     "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[io]: cannot write {out}.level1.json: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_vanishing_coefficient_denominator_names_M_rate_and_t(self, tmp_path, capsys):
         # alpha(A) = 3, c = -1: alpha(A) + c*t vanishes at t = 3 < M
         doc = polya_doc()
@@ -379,19 +396,28 @@ class TestParamHash:
                 == "param_hash=12890f6d6a41")
 
 
+def fractional_doc():
+    """c = -3/2 on alpha = (3, 9/2): a population of 5 balls, rate -1/5."""
+    return dict(polya_doc(), alpha={"a": "3", "b": "9/2"}, c="-3/2", length=4)
+
+
 def output_digests(tmp_path) -> dict:
     """sha256 of every CSV and level sidecar of small runs over the urn
-    regimes c > 0 and c = -1, keyed by file name."""
+    regimes c > 0, c = -1 and fractional c < 0, keyed by file name."""
     polya = write_json(tmp_path / "polya.json", polya_doc())
+    half = write_json(tmp_path / "half.json", dict(polya_doc(), c="1/2"))
     wor = write_json(tmp_path / "wor.json",
                      dict(polya_doc(), alpha={"a": "3", "b": "4"}, c="-1", length=3))
+    frac = write_json(tmp_path / "frac.json", fractional_doc())
     k_max = write_json(tmp_path / "max.json", {"builtin": "max"})
     k_min = write_json(tmp_path / "min.json", {"builtin": "min"})
     level2 = str(tmp_path / "decompose-polya.csv.level2.json")
     runs = {
         "coeffs": ["coeffs", "--model", polya, "--M", "6"],
+        "coeffs-12": ["coeffs", "--model", half, "--M", "12"],
         "decompose-polya": ["decompose", "--model", polya, "--kernel", k_max, "--M", "3"],
         "decompose-wor": ["decompose", "--model", wor, "--kernel", k_max, "--M", "3"],
+        "decompose-frac": ["decompose", "--model", frac, "--kernel", k_max, "--M", "2"],
         "covariance": ["covariance", "--model", polya, "--kernel", k_max, "--kernel", k_min,
                        "--M", "3"],
         # reads the level-2 sidecar of the polya decomposition
@@ -411,6 +437,7 @@ def output_digests(tmp_path) -> dict:
 # taken from the runs above; an intended change of the output re-pins them
 PINNED_DIGESTS = {
     "coeffs.csv": "9bbef79c7d8999ec1100511baf35029f17bf5cea2ae8142fcb408cee943546b6",
+    "coeffs-12.csv": "4871efe67b91db0ac7341a578c79b1ec6852d36001d81d215b9e1878c0f48bfa",
     "decompose-polya.csv": "4e066a63b5d3b6b83efc9caf0a2f9656a33b4c7bdcc65d85ffff5bf120e8ad4c",
     "decompose-polya.csv.level1.json": "feea3314f8ed288e7231c17f81c58a58749b857d92755a2bfc4f9dcca72e257f",
     "decompose-polya.csv.level2.json": "a7caee8da587c8c8bb07ee2960d4a317738884441852f154f5b9167776d90b89",
@@ -419,6 +446,9 @@ PINNED_DIGESTS = {
     "decompose-wor.csv.level1.json": "fcf68185d3c7a5c2be20db8e02b52947bb9e65e6c64a1138e21999d473043499",
     "decompose-wor.csv.level2.json": "def42498a7807fd189c6faca8e4a7f928ef087e67767f98490ed71cf48cdac19",
     "decompose-wor.csv.level3.json": "0a2a41d21a199fe446daddbadea3d4d45cd7d4023562fa4eef84289d3ba2def3",
+    "decompose-frac.csv": "7fefd51722551d2771f093de9e225879dbdfc0576c62df73ef06761ca234d2fd",
+    "decompose-frac.csv.level1.json": "d430d0e9465623483a058a792d130f63928435da55a1bd69dac2f99b44be79c2",
+    "decompose-frac.csv.level2.json": "b750fc1e0dc1e0bf82ce5990e700e1e2e4c948d9183cdf314e8965f98549f957",
     "covariance.csv": "c859371f6baed60eb7da5c631bd51081a03648d58eae2cb645e4e98da12c06b8",
     "degenerate-cov.csv": "3a00f59402b34ca8e9e383792118d819d63f66a7fb485b8820b38155529a0367",
     "weak-copy.csv": "0dc5184bc4b66fc69077c931cf3cf78d17bc51fef5b6f8f651ae737648ca6f94",
@@ -431,6 +461,20 @@ class TestPinnedOutputBytes:
         # a change to any value, row order or format of a report or a
         # sidecar changes a digest
         assert output_digests(tmp_path) == PINNED_DIGESTS
+
+    # past M = 2 the population of 5 balls runs out: a denominator factor
+    # alpha(A) + c*t vanishes at t = 5, or first a pivot does
+    @pytest.mark.parametrize("M, code, err", [
+        (4, 5, "error[degenerate-assumption]: vanishing pivots at (q, n) pairs ((2, 2), (2, 3))"),
+        (12, 3, "error[validation]: vanishing denominator in coefficient table at M = 12: "
+                "alpha(A) + c*t = 0 at t = 5 (rate c/alpha(A) = -1/5)"),
+    ])
+    def test_coefficient_failures_are_pinned(self, tmp_path, capsys, M, code, err):
+        frac = write_json(tmp_path / "frac.json", fractional_doc())
+        out = tmp_path / "c.csv"
+        assert main(["coeffs", "--model", frac, "--M", str(M), "--out", str(out)]) == code
+        assert capsys.readouterr().err == err + "\n"
+        assert not out.exists()
 
 
 URN_ONLY_COMMANDS = {
@@ -546,6 +590,8 @@ class TestMalformedDocuments:
         ({"arity": 2, "entries": [{"multiset": {"a": 1, "b": True}, "value": "1"}]},
          "entries[0].multiset", True),
         ({"builtin": "indicator", "arity": 2, "multiset": {"a": True, "b": 1}}, "multiset", True),
+        ({"arity": 2, "entries": [{"multiset": ["a", "b"], "value": "1"}]},
+         "entries[0].multiset", ["a", "b"]),
     ])
     def test_kernel_entries_exit_2(self, tmp_path, capsys, doc, field, value):
         model = write_json(tmp_path / "m.json", polya_doc())

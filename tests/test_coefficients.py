@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urnova.coefficients import (
+    CoefficientTable,
     _compute_maps,
     assumption_check,
     gamma_coeff,
@@ -18,6 +19,13 @@ from urnova.combinatorics import binomial
 from urnova.errors import DegenerateAssumption, ZeroDenominator
 
 rationals = st.fractions(min_value=F(1, 4), max_value=6, max_denominator=8)
+
+RATES = st.one_of(
+    st.fractions(min_value=F(1, 9), max_value=5, max_denominator=9),  # c > 0
+    st.just(F(0)),  # c = 0
+    st.integers(1, 17).map(lambda S: F(-1, S)),  # c = -1 on integer alpha
+    st.fractions(min_value=-2, max_value=F(-1, 9), max_denominator=9),  # fractional c < 0
+)
 
 
 class TestPhi:
@@ -93,6 +101,28 @@ class TestGammaAndAssumptions:
             theta_table(3, F(-1, 4))
 
 
+def check_theta_system(t):
+    """theta against the system that defines it: theta(k, k) = gamma_k, the
+    aggregation sums over levels q < k vanish, the top level balances the
+    lower ones, and theta* = theta / binomial(M - a, k - a)."""
+    M = t.M
+    assert list(t.theta) == list(t.theta_star)
+    assert set(t.theta) == {(k, a) for k in range(1, M + 1) for a in range(1, k + 1)}
+    for k in range(1, M):
+        assert t.theta[(k, k)] == t.gamma[k]
+        for q in range(1, k):
+            total = F(0)
+            for i in range(q, k + 1):
+                for j in range(q, i + 1):
+                    total += t.theta[(i, j)] * t.psi[(q, k, j)]
+            assert total == 0
+    assert t.theta[(M, M)] == 1
+    for a in range(1, M):
+        assert t.theta[(M, a)] == -sum(t.theta[(s, a)] for s in range(a, M))
+    for (k, a), v in t.theta.items():
+        assert t.theta_star[(k, a)] == v / binomial(M - a, k - a)
+
+
 class TestThetaTable:
     def test_hand_value(self):
         assert theta_table(3, F(1)).theta[(1, 1)] == F(1, 2)
@@ -112,21 +142,30 @@ class TestThetaTable:
             assert t.theta[(2, 2)] == 1
             assert t.theta[(2, 1)] == -(M - 1)
 
-    def test_recursion_invariants(self):
-        t = theta_table(5, F(1, 6))
-        for k in range(1, 5):
-            assert t.theta[(k, k)] == t.gamma[k]
-            for q in range(1, k):
-                total = F(0)
-                for i in range(q, k + 1):
-                    for j in range(q, i + 1):
-                        total += t.theta[(i, j)] * t.psi[(q, k, j)]
-                assert total == 0
-        assert t.theta[(5, 5)] == 1
-        for a in range(1, 5):
-            assert t.theta[(5, a)] == -sum(t.theta[(s, a)] for s in range(a, 5))
-        for (k, a), v in t.theta.items():
-            assert t.theta_star[(k, a)] == v / binomial(5 - a, k - a)
+    @given(M=st.integers(1, 8), rate=RATES)
+    @settings(max_examples=120, deadline=None)
+    def test_recursion_invariants(self, M, rate):
+        try:
+            t = theta_table(M, rate)
+        except (ZeroDenominator, DegenerateAssumption):
+            return
+        check_theta_system(t)
+
+    def test_negative_rate_sweep(self):
+        # r = -p/q with p <= 4, q <= 40: every outcome occurs, and none is a
+        # ZeroDivisionError
+        raised = set()
+        for M in range(1, 13):
+            for p in range(1, 5):
+                for q in range(1, 41):
+                    try:
+                        t = _compute_maps(M, F(-p, q))
+                    except (ZeroDenominator, DegenerateAssumption) as exc:
+                        raised.add(type(exc))
+                        continue
+                    check_theta_system(CoefficientTable(M, *t))
+                    raised.add(None)
+        assert raised == {None, ZeroDenominator, DegenerateAssumption}
 
     def test_scale_invariance_uncached(self):
         # the tables at rate c/a equal the pair oracles at the rescaled pair
@@ -151,7 +190,8 @@ def oracle_phi(M, rate):
         for m in range(1, n + 1):
             for q in range(m + 1):
                 psi_coeff(M, q, n, m, one, rate)
-    if assumption_check(M, rate):
+    if any(psi_coeff(M, q, n, q, one, rate) == 0
+           for n in range(1, M + 1) for q in range(1, n + 1)):
         raise DegenerateAssumption("vanishing pivot")
     return {
         (n, m, r, p): phi_coeff(n, m, r, p, one, rate)
@@ -175,14 +215,6 @@ def check_phi_table(M, rate):
     for key, value in expected.items():
         assert phi[key] == value, key
     return None
-
-
-RATES = st.one_of(
-    st.fractions(min_value=F(1, 9), max_value=5, max_denominator=9),  # c > 0
-    st.just(F(0)),  # c = 0
-    st.integers(1, 17).map(lambda S: F(-1, S)),  # c = -1 on integer alpha
-    st.fractions(min_value=-2, max_value=F(-1, 9), max_denominator=9),  # fractional c < 0
-)
 
 
 class TestIntegerPhiTable:
