@@ -106,8 +106,8 @@ def check_theta_system(t):
     aggregation sums over levels q < k vanish, the top level balances the
     lower ones, and theta* = theta / binomial(M - a, k - a)."""
     M = t.M
-    assert list(t.theta) == list(t.theta_star)
-    assert set(t.theta) == {(k, a) for k in range(1, M + 1) for a in range(1, k + 1)}
+    keys = {(k, a) for k in range(1, M + 1) for a in range(1, k + 1)}
+    assert set(t.theta) == keys == set(t.theta_star)
     for k in range(1, M):
         assert t.theta[(k, k)] == t.gamma[k]
         for q in range(1, k):
