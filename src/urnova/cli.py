@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -24,7 +25,8 @@ from .decomposition import (
     wor_level_variance_derived,
     wor_level_variance_printed,
 )
-from .errors import IoError, ParseError, UnknownSymbol, UrnovaError, ValidationError
+from .errors import (ArityMismatch, HorizonTooShort, IoError, ParseError, UnknownSymbol,
+                     UrnovaError, ValidationError)
 from .kernels import BUILTIN_KERNELS, SymmetricKernel, builtin_kernel, expectation, from_table
 from .models import (
     MixtureModel,
@@ -105,8 +107,9 @@ def parse_model_file(path):
 
 def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
     """Kernel files: an explicit multiset table, or a builtin reference
-    resolved against the model's alphabet (builtins take their arity from
-    the document or from the surrounding command)."""
+    resolved against the model's alphabet.  A builtin takes its arity from
+    the document or else from `arity`, the arity the command needs, which
+    the kernel must then have."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: kernel document must be an object")
@@ -123,25 +126,29 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
         if "multiset" in doc:
             target = _expand_multiset(doc["multiset"], f"{path}: multiset")
         try:
-            return builtin_kernel(model.alphabet, size, name, target)
+            kernel = builtin_kernel(model.alphabet, size, name, target)
         except ValidationError as exc:
             field = "multiset" if name == "indicator" else "builtin"
             raise type(exc)(f"{path}: {field}: {exc}") from None
-    for key in ("arity", "entries"):
-        if key not in doc:
-            raise ParseError(f"{path}: missing field {key!r}")
-    if not isinstance(doc["entries"], list):
-        raise ParseError(f"{path}: entries must be a list, not {doc['entries']!r}")
-    entries = []
-    for i, entry in enumerate(doc["entries"]):
-        if not isinstance(entry, dict) or "multiset" not in entry or "value" not in entry:
-            raise ParseError(f"{path}: entries[{i}] needs multiset and value, not {entry!r}")
-        labels = _expand_multiset(entry["multiset"], f"{path}: entries[{i}].multiset")
-        entries.append((labels, _rational(entry["value"], f"{path}: entries[{i}].value")))
-    try:
-        return from_table(model.alphabet, _arity(doc, path), entries)
-    except ValidationError as exc:
-        raise type(exc)(f"{path}: entries: {exc}") from None
+    else:
+        for key in ("arity", "entries"):
+            if key not in doc:
+                raise ParseError(f"{path}: missing field {key!r}")
+        if not isinstance(doc["entries"], list):
+            raise ParseError(f"{path}: entries must be a list, not {doc['entries']!r}")
+        entries = []
+        for i, entry in enumerate(doc["entries"]):
+            if not isinstance(entry, dict) or "multiset" not in entry or "value" not in entry:
+                raise ParseError(f"{path}: entries[{i}] needs multiset and value, not {entry!r}")
+            labels = _expand_multiset(entry["multiset"], f"{path}: entries[{i}].multiset")
+            entries.append((labels, _rational(entry["value"], f"{path}: entries[{i}].value")))
+        try:
+            kernel = from_table(model.alphabet, _arity(doc, path), entries)
+        except ValidationError as exc:
+            raise type(exc)(f"{path}: entries: {exc}") from None
+    if arity is not None and kernel.arity != arity:
+        raise ArityMismatch(f"{path}: arity {kernel.arity}, but the command needs arity {arity}")
+    return kernel
 
 
 def _arity(doc, path) -> int:
@@ -163,12 +170,7 @@ def _expand_multiset(doc, where: str) -> tuple:
 
 
 def kernel_to_json(kernel: SymmetricKernel) -> dict:
-    entries = []
-    for ms, v in kernel.entries:
-        counts = {}
-        for label in ms:
-            counts[label] = counts.get(label, 0) + 1
-        entries.append({"multiset": counts, "value": str(v)})
+    entries = [{"multiset": dict(Counter(ms)), "value": str(v)} for ms, v in kernel.entries]
     return {"arity": kernel.arity, "entries": entries}
 
 
@@ -221,9 +223,12 @@ def cmd_pmf(args):
         ["sequence", "ordered_pmf", "multiset_weight"],
         rational_columns=("ordered_pmf", "multiset_weight"),
     )
-    sequences = [tuple(args.seq.split(","))] if args.seq else model.alphabet.multisets(args.M)
+    sequences = model.alphabet.multisets(args.M) if args.seq is None else [args.seq.split(",")]
     for seq in sequences:
-        weight = model.multiset_weight(seq)
+        try:
+            weight = model.multiset_weight(seq)
+        except UrnovaError as exc:
+            raise exc if args.seq is None else type(exc)(f"--seq: {exc}") from None
         rep.add(
             sequence=" ".join(seq),
             ordered_pmf=weight / permutation_count(seq),
@@ -314,6 +319,9 @@ def cmd_covariance(args):
 def cmd_degenerate_cov(args):
     model = _require_urn(parse_model_file(args.model), "degenerate covariance")
     left, right = (parse_kernel_file(path, model) for path in args.kernel)
+    if left.arity != right.arity:
+        raise ArityMismatch(f"{args.kernel[1]}: arity {right.arity}, but degenerate-cov "
+                            f"needs the arity {left.arity} of {args.kernel[0]}")
     overlap = args.overlap if args.overlap is not None else left.arity
     value = degenerate_cov(model, left, right, overlap)
     rep = Report(_meta(args, model, left, right), ["overlap", "value"],
@@ -324,6 +332,8 @@ def cmd_degenerate_cov(args):
 
 def cmd_check_wi(args):
     model = parse_model_file(args.model)
+    if model.length is not None and args.level > model.length:
+        raise HorizonTooShort(f"{args.model}: --level {args.level} exceeds length {model.length}")
     rep = Report(
         _meta(args, model, scope=f"weakly-independent-up-to-level-{args.level}"),
         ["level", "row", "basis_index", "overlap", "witness", "value"],
@@ -334,8 +344,7 @@ def cmd_check_wi(args):
         rep.add(level=n, row="summary", basis_index=len(result.basis),
                 overlap="", witness="passed" if result.passed else "failed", value="")
         for r in result.unchecked_overlaps:
-            rep.add(level=n, row="not-checkable", basis_index="", overlap=r,
-                    witness="", value="")
+            rep.add(level=n, row="not-checkable", overlap=r)
         for v in result.violations:
             rep.add(level=n, row="violation", basis_index=v.basis_index,
                     overlap=v.overlap, witness=" ".join(v.witness), value=v.value)
@@ -403,13 +412,8 @@ def cmd_ustat_bound(args):
     if (args.n is None) != (args.level is None):
         given, missing = ("--n", "--level") if args.level is None else ("--level", "--n")
         raise ParseError(f"lemma3: {given} needs {missing}")
-    pairs = []
-    if args.n:
-        pairs = [(args.n, args.level)]
-    else:
-        for n in range(1, args.N):
-            for i in range(1, n + 1):
-                pairs.append((n, i))
+    pairs = ([(args.n, args.level)] if args.n else
+             [(n, i) for n in range(1, args.N) for i in range(1, n + 1)])
     for n, i in pairs:
         rep.add(N=args.N, n=n, i=i, constant=ustat_norm_lower_constant(args.N, n, i))
     return rep

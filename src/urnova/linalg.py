@@ -1,34 +1,26 @@
-"""Exact null spaces of rational matrices by fraction-free elimination.
+"""Exact null spaces of integer matrices by fraction-free elimination.
 
-Each row is scaled to integers by the lcm of its denominators and reduced on
-integers (row_i = p*row_i - f*row_r, then divided by its gcd), so no gcd of a
-rational runs inside the elimination; a ``Fraction`` is built only for the
-basis entries.  The reduced form is the RREF up to row scaling, so the basis
-is the one Gauss-Jordan elimination over the rationals gives.
+Rows are reduced on integers (row_i = p*row_i - f*row_r, then divided by its
+gcd), so no rational arithmetic runs.  The reduced form is the RREF up to
+row scaling, so each basis vector is the Gauss-Jordan one up to scaling.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
-from .combinatorics import integer_numerators
+from math import gcd, lcm
 
 
-def nullspace(matrix, ncols=None):
-    """Basis of the right null space, one vector per free column.
+def nullspace(matrix, ncols):
+    """Basis of the right null space of integer rows, one vector per free
+    column, in free-column order (deterministic for a deterministic column
+    ordering).
 
-    Each basis vector has a 1 in its free coordinate and is scaled so that
-    its first nonzero coordinate is 1; the list follows free-column order,
-    which is deterministic for a deterministic column ordering.
+    The vector of free column f is the Gauss-Jordan one (1 at f and
+    -row[f]/row[p] at each pivot p) as a primitive integer vector with a
+    positive first nonzero entry; that entry is the least common
+    denominator of the Gauss-Jordan vector scaled to lead with 1.
     """
-    if ncols is None:
-        ncols = len(matrix[0]) if matrix else 0
-    rows = []
-    for row in matrix:
-        ints = integer_numerators(row)[0]
-        if any(ints):
-            rows.append(ints)
+    rows = [row for row in matrix if any(row)]
     pivots = []
     for col in range(ncols):
         r = len(pivots)
@@ -47,13 +39,13 @@ def nullspace(matrix, ncols=None):
         pivots.append(col)
         if len(pivots) == len(rows):
             break
-    free = [c for c in range(ncols) if c not in pivots]
+    scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = scale
         for row, p in zip(rows, pivots):
-            v[p] = Fraction(-row[f], row[p])
-        lead = next(x for x in v if x != 0)
-        basis.append([x / lead for x in v])
+            v[p] = -row[f] * scale // row[p]
+        g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
+        basis.append([x // g for x in v])
     return basis

@@ -3,14 +3,13 @@ symmetric kernels forces all partial-overlap symmetrized conditionals to
 vanish -- the property that makes a model's statistics split into
 orthogonal degenerate layers.
 
-The decision at level n: compute a basis of the kernels killed by one-step
-prediction, then evaluate every admissible partial-overlap conditional of
-every basis kernel and collect nonzero witnesses.  Each conditional is
-linear in the kernel, so the sweep builds it once per (overlap, observed
-multiset) as an integer functional, read off the integer law primitive of
-the model (as are the basis constraint rows), and applies that to the whole
-basis; ``conditional.symmetrized_offdiagonal`` is the enumeration oracle it
-is tested against.
+Each overlap-r conditional at an observed (n-1)-multiset is linear in the
+kernel, so it is built once as an integer functional read off the model's
+integer law primitive.  The overlap-(n-1) functionals are the rows whose
+integer null space gives the degenerate basis at level n; the sweep applies
+those of every overlap r <= n - 2 to the whole basis and collects nonzero
+witnesses.  ``conditional.symmetrized_offdiagonal`` is the enumeration
+oracle the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -33,29 +32,23 @@ def degenerate_basis(model, n: int):
     """Basis of arity-n kernels with vanishing one-step predictive average.
 
     The constraint map sends a kernel phi to the function
-    x -> sum_a P(next = a | x) * phi(x + a) on observed (n-1)-multisets;
-    rows run over the support (each the predictive law's integer step
-    weights), columns over every size-n multiset, and the null space comes
-    out of exact row reduction with deterministic ordering (pivots scaled
-    so each basis vector leads with 1).
+    x -> sum_a P(next = a | x) * phi(x + a) on observed (n-1)-multisets:
+    its rows are the sweep's overlap-(n-1) functionals at the support
+    multisets, its columns the size-n multisets.  Each kernel is a
+    primitive integer null vector over its positive lead, so it leads with
+    1; the order is the null space's, which is deterministic.
     """
     if n < 1:
         raise ValidationError("level must be at least 1")
     if model.length is not None and n > model.length:
         raise HorizonTooShort(f"level {n} needs {n} coordinates")
-    alphabet = model.alphabet
-    columns = list(alphabet.multisets(n))
-    col_index = {ms: i for i, ms in enumerate(columns)}
-    rows = []
-    for observed in model.support_multisets(n - 1):
-        row = [0] * len(columns)
-        for label, w in zip(alphabet.labels, model._build_size_law(1, observed)[0]):
-            row[col_index[alphabet.canon(observed + (label,))]] = w
-        rows.append(row)
+    columns = list(model.alphabet.multisets(n))
+    rows = [offdiagonal_functional(model, ms, n - 1)[0] for ms in model.support_multisets(n - 1)]
     basis = []
-    for vec in nullspace(rows, ncols=len(columns)):
-        entries = tuple((ms, vec[i]) for i, ms in enumerate(columns))
-        basis.append(SymmetricKernel(n, alphabet, entries))
+    for vec in nullspace(rows, len(columns)):
+        lead = next(x for x in vec if x)
+        entries = tuple((ms, Fraction(x, lead)) for ms, x in zip(columns, vec))
+        basis.append(SymmetricKernel(n, model.alphabet, entries))
     return basis
 
 
@@ -102,7 +95,7 @@ def offdiagonal_functional(model, observed, overlap: int) -> tuple:
 
 
 def check_weak_independence(model, n: int) -> DegeneracyReport:
-    """Evaluate every admissible partial-overlap symmetrized conditional of
+    """Evaluate the overlap-r symmetrized conditionals, r = 0 .. n - 2, of
     every degenerate basis kernel.  Exact zeros everywhere mean the model
     passes at this level (within its horizon); overlaps that would need
     coordinates beyond the horizon are reported as unchecked, never skipped
@@ -113,7 +106,8 @@ def check_weak_independence(model, n: int) -> DegeneracyReport:
     support = list(model.support_multisets(n - 1))
     violations = []
     unchecked = []
-    for r in range(n):
+    # overlap n - 1 defines the basis: zero by construction, never past the horizon
+    for r in range(n - 1):
         if model.length is not None and 2 * n - r - 1 > model.length:
             unchecked.append(r)
             continue

@@ -237,6 +237,18 @@ class TestCommands:
         body = open(out).read()
         assert "failed" in body and "violation" in body
 
+    def test_check_wi_level_above_the_horizon_exits_4_first(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # refused before level 1 runs, not after levels 1..4
+        def no_level_runs(model, n):
+            raise AssertionError(f"level {n} ran")
+        monkeypatch.setattr("urnova.cli.check_weak_independence", no_level_runs)
+        model = write_json(tmp_path / "m.json", dict(polya_doc(), length=4))
+        out = tmp_path / "wi.csv"
+        assert main(["check-wi", "--model", model, "--level", "6", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error[horizon]: {model}: --level 6 exceeds length 4\n"
+        assert not out.exists()
+
     def test_remaining_subcommands(self, tmp_path):
         model = write_json(tmp_path / "m.json", polya_doc())
         tbl = write_json(tmp_path / "t.json", {
@@ -343,7 +355,18 @@ class TestPmfCommand:
         assert main(["pmf", "--model", model, "--seq", too_long_and_unknown]) == 3
         mix = write_json(tmp_path / "mix.json", {"epsilon": "1/2"})
         assert main(["pmf", "--model", mix, "--seq", "0,x"]) == 3
-        assert "unknown symbol 'x'" in capsys.readouterr().err
+        assert "--seq: unknown symbol 'x'" in capsys.readouterr().err
+        assert main(["pmf", "--model", model, "--seq", ",".join(["a"] * 9)]) == 4
+        assert capsys.readouterr().err == ("error[horizon]: --seq: needs 9 coordinates, "
+                                           "model allows 8\n")
+
+    def test_empty_seq_is_an_unknown_label(self, tmp_path, capsys):
+        # an empty --seq is one empty label, not a request for the --M table
+        model = write_json(tmp_path / "m.json", polya_doc())
+        out = tmp_path / "p.csv"
+        assert main(["pmf", "--model", model, "--seq", "", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error[validation]: --seq: unknown symbol ''\n"
+        assert not out.exists()
 
 
 def meta_hash(path):
@@ -401,14 +424,31 @@ def fractional_doc():
     return dict(polya_doc(), alpha={"a": "3", "b": "9/2"}, c="-3/2", length=4)
 
 
+def zero_weight_doc():
+    """c = -2 on alpha = (2, 0, 4, 8): a population of 7 balls in which b
+    never occurs, so only multisets without b are observable."""
+    labels = ("a", "b", "c", "d")
+    return {
+        "symbols": [{"label": x, "value": str(i)} for i, x in enumerate(labels)],
+        "alpha": dict(zip(labels, ("2", "0", "4", "8"))),
+        "c": "-2",
+        "length": 7,
+    }
+
+
 def output_digests(tmp_path) -> dict:
     """sha256 of every CSV and level sidecar of small runs over the urn
-    regimes c > 0, c = -1 and fractional c < 0, keyed by file name."""
+    regimes c > 0, c = -1 and fractional c < 0, and of check-wi runs on a
+    zero-weight letter, a short horizon and the mixture, keyed by file name."""
     polya = write_json(tmp_path / "polya.json", polya_doc())
     half = write_json(tmp_path / "half.json", dict(polya_doc(), c="1/2"))
     wor = write_json(tmp_path / "wor.json",
                      dict(polya_doc(), alpha={"a": "3", "b": "4"}, c="-1", length=3))
     frac = write_json(tmp_path / "frac.json", fractional_doc())
+    zero = write_json(tmp_path / "zero.json", zero_weight_doc())
+    short = write_json(tmp_path / "short.json", dict(polya_doc(), alpha={"a": "1", "b": "2"},
+                                                     length=4))
+    mix = write_json(tmp_path / "mix.json", {"epsilon": "3/7"})
     k_max = write_json(tmp_path / "max.json", {"builtin": "max"})
     k_min = write_json(tmp_path / "min.json", {"builtin": "min"})
     level2 = str(tmp_path / "decompose-polya.csv.level2.json")
@@ -425,6 +465,11 @@ def output_digests(tmp_path) -> dict:
                            "--kernel", level2, "--overlap", "1"],
         "weak-copy": ["weak-copy", "--model", polya, "--kernel", k_max, "--level", "2"],
         "zhao-chen": ["zhao-chen", "--M", "8", "--draws", "4"],
+        # basis rows and witnesses over the support only
+        "check-wi-zero": ["check-wi", "--model", zero, "--level", "4"],
+        # overlaps 0..2 at level 4 need more than 4 coordinates: not-checkable rows
+        "check-wi-short": ["check-wi", "--model", short, "--level", "4"],
+        "check-wi-mixture": ["check-wi", "--model", mix, "--level", "3"],
     }
     digests = {}
     for name, argv in runs.items():
@@ -453,6 +498,9 @@ PINNED_DIGESTS = {
     "degenerate-cov.csv": "3a00f59402b34ca8e9e383792118d819d63f66a7fb485b8820b38155529a0367",
     "weak-copy.csv": "0dc5184bc4b66fc69077c931cf3cf78d17bc51fef5b6f8f651ae737648ca6f94",
     "zhao-chen.csv": "5186766390a62b478e748ea2241b69d236dca091511bfe22489754349b2ecdce",
+    "check-wi-zero.csv": "57d9a4ee4bf4cd22e16c6063f48fb81782a59c05aade9f337bce3ce0fb9005f5",
+    "check-wi-short.csv": "3e61a0c24d553391d8fca6a91d401e1d0fa8e94f9a3744c5453950a3a9230fa3",
+    "check-wi-mixture.csv": "0c8d0838dc7754902b7f2db1143b08d391050daf45788386ddcbeac65023e31a",
 }
 
 
@@ -499,6 +547,44 @@ class TestUrnOnlyCommands:
         assert main([command, "--model", mix, *flags, *kernels, "--out", str(out)]) == 3
         assert (capsys.readouterr().err
                 == f"error[validation]: {operation} needs an urn model, not a mixture\n")
+        assert not out.exists()
+
+
+def table_doc(arity):
+    """An arity-n table kernel on the polya alphabet: value k on a^k b^(n-k)."""
+    return {"arity": arity, "entries": [{"multiset": {"a": k, "b": arity - k}, "value": str(k)}
+                                        for k in range(arity + 1)]}
+
+
+class TestArityMismatch:
+    # (command, flags, kernel documents, index of the refused kernel, needed arity)
+    @pytest.mark.parametrize("command, flags, docs, bad, needed", [
+        ("decompose", ["--M", "3"], [table_doc(2)], 0, 3),
+        ("decompose", ["--M", "3"], [{"builtin": "max", "arity": 2}], 0, 3),
+        ("covariance", ["--M", "2"], [table_doc(2), table_doc(3)], 1, 2),
+        ("weak-copy", ["--level", "1"], [table_doc(3)], 0, 2),
+    ])
+    def test_exit_3_names_the_file_and_both_arities(self, tmp_path, capsys, command, flags,
+                                                    docs, bad, needed):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        paths = [write_json(tmp_path / f"k{i}.json", doc) for i, doc in enumerate(docs)]
+        out = tmp_path / "o.csv"
+        argv = [command, "--model", model, *flags, "--out", str(out)]
+        assert main(argv + [x for path in paths for x in ("--kernel", path)]) == 3
+        arity = docs[bad]["arity"]
+        assert capsys.readouterr().err == (f"error[validation]: {paths[bad]}: arity {arity}, "
+                                           f"but the command needs arity {needed}\n")
+        assert not out.exists()
+
+    def test_degenerate_cov_names_both_files(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        left = write_json(tmp_path / "k2.json", table_doc(2))
+        right = write_json(tmp_path / "k3.json", table_doc(3))
+        out = tmp_path / "o.csv"
+        assert main(["degenerate-cov", "--model", model, "--kernel", left, "--kernel", right,
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"error[validation]: {right}: arity 3, but "
+                                           f"degenerate-cov needs the arity 2 of {left}\n")
         assert not out.exists()
 
 
