@@ -121,7 +121,7 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
             )
         size = _arity(doc, path) if "arity" in doc else arity
         if size is None:
-            raise ParseError(f"{path}: builtin kernel needs an arity (or pass --M)")
+            raise ParseError(f"{path}: builtin kernel needs an arity")
         target = None
         if "multiset" in doc:
             target = _expand_multiset(doc["multiset"], f"{path}: multiset")
@@ -218,6 +218,8 @@ def cmd_validate(args):
 
 def cmd_pmf(args):
     model = parse_model_file(args.model)
+    if args.seq is None and model.length is not None and args.M > model.length:
+        raise HorizonTooShort(f"{args.model}: --M {args.M} exceeds length {model.length}")
     rep = Report(
         _meta(args, model),
         ["sequence", "ordered_pmf", "multiset_weight"],

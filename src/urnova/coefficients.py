@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import perm
 from typing import NamedTuple
 
-from .combinatorics import binomial, falling, prod, rising
+from .combinatorics import binomial, prod, rising
 from .errors import DegenerateAssumption, ZeroDenominator
 
 
@@ -31,7 +32,7 @@ def phi_coeff(n: int, m: int, r: int, p: int, alpha_total, c) -> Fraction:
     den = prod(alpha_total + c * (n + s - 1) for s in range(1, m - r + 1))
     if den == 0:
         raise ZeroDenominator("vanishing denominator in coefficient table")
-    num = c**p * falling(m - r, p)
+    num = c**p * perm(m - r, p)
     num *= prod(alpha_total + c * (r + p + s - 1) for s in range(1, m - (r + p) + 1))
     return num / den
 
@@ -66,7 +67,7 @@ def phi_table(M: int, rate):
     With rate c/alpha(A) = P/Q in lowest terms, alpha + c*t is a multiple
     of Q + P*t, so every entry is a ratio of the integer products
     R[x][k] = prod_{t=x}^{x+k-1} (Q + P*t):
-    phi(n, m, r, p) = P^p * falling(m-r, p) * R[r+p][m-r-p] / R[n][m-r].
+    phi(n, m, r, p) = P^p * perm(m-r, p) * R[r+p][m-r-p] / R[n][m-r].
     The formula also holds for m > n, where it weights the conditional of
     an m-argument statistic given n observed values (expand_conditional).
     """
@@ -84,7 +85,7 @@ def phi_table(M: int, rate):
                     f"vanishing denominator in coefficient table at M = {M}: "
                     f"alpha(A) + c*t = 0 at t = {-Q // P} (rate c/alpha(A) = {rate})"
                 )
-            memo[key] = Fraction(P**p * falling(m - r, p) * R[r + p][m - r - p], den)
+            memo[key] = Fraction(P**p * perm(m - r, p) * R[r + p][m - r - p], den)
         return memo[key]
 
     return phi_at

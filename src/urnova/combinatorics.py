@@ -8,21 +8,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 
 
 def binomial(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def falling(a: int, p: int) -> int:
-    """a * (a-1) * ... * (a-p+1); empty product for p = 0."""
-    out = 1
-    for t in range(p):
-        out *= a - t
-    return out
 
 
 def rising(x: int, step: int, n: int) -> list:
@@ -84,26 +76,14 @@ def up(table, keys) -> dict:
 def subset_sums(tables, keys, size) -> tuple:
     """sum_a (sum of tables[a] over the a-subsets of x's positions) at each
     x in keys(size), as ({x: H(x)}, L) with the sum H(x) / L, by Horner's
-    scheme: H_lo = tables[lo], H_k = U H_{k-1} + falling(size-lo, k-lo) *
+    scheme: H_lo = tables[lo], H_k = U H_{k-1} + perm(size-lo, k-lo) *
     tables[k] on keys(k), L = (size-lo)!.  keys must be closed under
     removing a label; no tables give ({}, 1)."""
     lo = min(tables, default=size)
     sums = tables.get(lo, {})
     for k in range(lo + 1, size + 1):
         sums = up(sums, keys(k))
-        weight = falling(size - lo, k - lo)
+        weight = perm(size - lo, k - lo)
         for x, v in tables.get(k, {}).items():
             sums[x] += weight * v
     return sums, factorial(size - lo)
-
-
-def elementary_symmetric(top: int, k: int) -> int:
-    """e_k(1, 2, ..., top); e_0 = 1, zero when k > top."""
-    if k < 0 or k > max(top, 0):
-        return 0
-    # DP over prefix {1..j}
-    e = [1] + [0] * k
-    for j in range(1, top + 1):
-        for d in range(min(j, k), 0, -1):
-            e[d] += j * e[d - 1]
-    return e[k]

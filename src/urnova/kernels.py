@@ -16,7 +16,6 @@ from math import factorial
 
 from .combinatorics import (
     binomial,
-    elementary_symmetric,
     permutation_count,
     prod,
     subset_sums,
@@ -221,10 +220,10 @@ def _tie_constants(rate, draws: int, occupied: int):
     of `draws` extractions whose measure already carries `occupied`
     increments, at unit total weight."""
     den = prod(1 + rate * (occupied + t - 1) for t in range(1, draws + 1))
-    out = []
-    for k in range(draws):
-        out.append(rate**k * elementary_symmetric(draws - 1, k) / den)
-    return out
+    e = [1]  # e_k(1..draws-1) is the x^k coefficient of prod_{t < draws} (1 + t x)
+    for t in range(1, draws):
+        e = [a + t * b for a, b in zip(e + [0], [0] + e)]
+    return [rate**k * e_k / den for k, e_k in enumerate(e[:draws])]
 
 
 def max_mean_closed_form(model, horizon: int) -> Fraction:

@@ -110,8 +110,13 @@ class Alphabet(Record, namedtuple("Alphabet", "symbols")):
         return all(s.value is not None for s in self.symbols)
 
     def canon(self, labels) -> tuple:
-        """Canonical multiset key: labels sorted in alphabet order."""
-        return tuple(sorted(labels, key=self.index))
+        """Canonical multiset key: labels sorted in alphabet order.  Keys
+        are read in input order, so the first unknown label is the one
+        reported."""
+        try:
+            return tuple(sorted(labels, key=self._index.__getitem__))
+        except KeyError as exc:
+            raise UnknownSymbol(f"unknown symbol {exc.args[0]!r}") from None
 
     def multisets(self, size: int):
         return multisets(self.labels, size)

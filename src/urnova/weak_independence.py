@@ -7,9 +7,11 @@ Each overlap-r conditional at an observed (n-1)-multiset is linear in the
 kernel, so it is built once as an integer functional read off the model's
 integer law primitive.  The overlap-(n-1) functionals are the rows whose
 integer null space gives the degenerate basis at level n; the sweep applies
-those of every overlap r <= n - 2 to the whole basis and collects nonzero
-witnesses.  ``conditional.symmetrized_offdiagonal`` is the enumeration
-oracle the sweep is tested against.
+those of every overlap r <= n - 2 to the whole basis, held as those integer
+vectors, and collects nonzero witnesses.  Only ``degenerate_basis``, the
+basis's public kernel view, builds kernels from them.
+``conditional.symmetrized_offdiagonal`` is the enumeration oracle the sweep
+is tested against.
 """
 
 from __future__ import annotations
@@ -28,24 +30,32 @@ from .linalg import nullspace
 from .models import MixtureModel, check_horizon
 
 
-def degenerate_basis(model, n: int):
-    """Basis of arity-n kernels with vanishing one-step predictive average.
+def _null_vectors(model, n: int) -> tuple:
+    """The integer null space of the one-step prediction map at level n.
 
-    The constraint map sends a kernel phi to the function
+    The map sends a kernel phi to the function
     x -> sum_a P(next = a | x) * phi(x + a) on observed (n-1)-multisets:
     its rows are the sweep's overlap-(n-1) functionals at the support
-    multisets, its columns the size-n multisets.  Each kernel is a
-    primitive integer null vector over its positive lead, so it leads with
-    1; the order is the null space's, which is deterministic.
+    multisets, its columns the size-n multisets.  Each vector is a
+    primitive integer tuple with a positive first nonzero entry, its lead;
+    the order is the null space's, which is deterministic.
     """
     if n < 1:
         raise ValidationError("level must be at least 1")
     if model.length is not None and n > model.length:
         raise HorizonTooShort(f"level {n} needs {n} coordinates")
-    columns = list(model.alphabet.multisets(n))
     rows = [offdiagonal_functional(model, ms, n - 1)[0] for ms in model.support_multisets(n - 1)]
+    ncols = binomial(len(model.alphabet.labels) + n - 1, n)
+    return tuple(map(tuple, nullspace(rows, ncols)))
+
+
+def degenerate_basis(model, n: int):
+    """Basis of arity-n kernels with vanishing one-step predictive average:
+    the null vectors of the prediction map, each divided by its lead, so
+    each kernel leads with 1."""
+    columns = list(model.alphabet.multisets(n))
     basis = []
-    for vec in nullspace(rows, len(columns)):
+    for vec in _null_vectors(model, n):
         lead = next(x for x in vec if x)
         entries = tuple((ms, Fraction(x, lead)) for ms, x in zip(columns, vec))
         basis.append(SymmetricKernel(n, model.alphabet, entries))
@@ -61,7 +71,7 @@ class Violation(NamedTuple):
 
 class DegeneracyReport(NamedTuple):
     level: int
-    basis: tuple
+    basis: tuple  # the integer null vectors; degenerate_basis is their kernel view
     violations: tuple
     unchecked_overlaps: tuple  # overlaps whose conditional needs more horizon
 
@@ -99,10 +109,11 @@ def check_weak_independence(model, n: int) -> DegeneracyReport:
     every degenerate basis kernel.  Exact zeros everywhere mean the model
     passes at this level (within its horizon); overlaps that would need
     coordinates beyond the horizon are reported as unchecked, never skipped
-    silently.  Values are integer dot products; only a violation becomes a
-    Fraction."""
-    basis = degenerate_basis(model, n)
-    scaled = [integer_numerators(v for _, v in kernel.entries) for kernel in basis]
+    silently.  The sweep runs on the integer null vectors: each value is an
+    integer dot product, and only a violation becomes a Fraction, over the
+    functional's denominator times the vector's lead."""
+    basis = _null_vectors(model, n)
+    leads = [next(x for x in vec if x) for vec in basis]
     support = list(model.support_multisets(n - 1))
     violations = []
     unchecked = []
@@ -112,12 +123,12 @@ def check_weak_independence(model, n: int) -> DegeneracyReport:
             unchecked.append(r)
             continue
         functionals = [(ms, *offdiagonal_functional(model, ms, r)) for ms in support]
-        for b, (nums, den) in enumerate(scaled):
+        for b, (vec, lead) in enumerate(zip(basis, leads)):
             for ms, functional, f_den in functionals:
-                dot = sum(map(mul, functional, nums))
+                dot = sum(map(mul, functional, vec))
                 if dot:
-                    violations.append(Violation(b, r, ms, Fraction(dot, f_den * den)))
-    return DegeneracyReport(n, tuple(basis), tuple(violations), tuple(unchecked))
+                    violations.append(Violation(b, r, ms, Fraction(dot, f_den * lead)))
+    return DegeneracyReport(n, basis, tuple(violations), tuple(unchecked))
 
 
 # -- the two-point mixture family that fails the check -------------------------

@@ -360,6 +360,15 @@ class TestPmfCommand:
         assert capsys.readouterr().err == ("error[horizon]: --seq: needs 9 coordinates, "
                                            "model allows 8\n")
 
+    def test_M_past_the_horizon_exits_4(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        out = tmp_path / "p.csv"
+        assert main(["pmf", "--model", model, "--M", "9", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error[horizon]: {model}: --M 9 exceeds length 8\n"
+        assert not out.exists()
+        mix = write_json(tmp_path / "mix.json", {"epsilon": "1/2"})
+        assert main(["pmf", "--model", mix, "--M", "9", "--out", str(out)]) == 0
+
     def test_empty_seq_is_an_unknown_label(self, tmp_path, capsys):
         # an empty --seq is one empty label, not a request for the --M table
         model = write_json(tmp_path / "m.json", polya_doc())
@@ -574,6 +583,15 @@ class TestArityMismatch:
         arity = docs[bad]["arity"]
         assert capsys.readouterr().err == (f"error[validation]: {paths[bad]}: arity {arity}, "
                                            f"but the command needs arity {needed}\n")
+        assert not out.exists()
+
+    def test_degenerate_cov_builtin_without_arity_exits_2(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        kernel = write_json(tmp_path / "max.json", {"builtin": "max"})
+        out = tmp_path / "o.csv"
+        assert main(["degenerate-cov", "--model", model, "--kernel", kernel, "--kernel", kernel,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error[parse]: {kernel}: builtin kernel needs an arity\n"
         assert not out.exists()
 
     def test_degenerate_cov_names_both_files(self, tmp_path, capsys):

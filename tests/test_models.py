@@ -157,6 +157,22 @@ class TestRecords:
             assert type(exc.value) is ValidationError
 
 
+class TestCanon:
+    @given(labels=st.lists(st.sampled_from(["c", "a", "b", "x", "", "A"]), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_sorting_by_index(self, labels):
+        alphabet = urn_model(["c", "a", "b"], {"c": 1, "a": 1, "b": 1}, 1, 3).alphabet
+        try:
+            expected = tuple(sorted(labels, key=alphabet.index))
+        except UnknownSymbol as exc:
+            with pytest.raises(UnknownSymbol) as got:
+                alphabet.canon(labels)
+            assert str(got.value) == str(exc)
+        else:
+            assert alphabet.canon(labels) == expected
+            assert alphabet.canon(iter(labels)) == expected
+
+
 class TestJointPmf:
     def test_polya_two_heads(self):
         assert polya().joint_pmf(("a", "a")) == F(1, 3)

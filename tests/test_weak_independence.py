@@ -19,6 +19,7 @@ from urnova import (
     witness_kernel,
     witness_report,
 )
+from urnova import weak_independence
 from urnova.combinatorics import integer_numerators
 from urnova.errors import HorizonTooShort, ValidationError
 from urnova.kernels import SymmetricKernel
@@ -163,19 +164,32 @@ class TestBatchedSweep:
         # basis from the rational RREF, values from the enumeration oracle
         model, n = case
         columns, rows = constraint_rows(model, n)
-        basis = [SymmetricKernel(n, model.alphabet, tuple(zip(columns, v)))
-                 for v in rref_nullspace(rows, len(columns))]
+        kernels = [SymmetricKernel(n, model.alphabet, tuple(zip(columns, v)))
+                   for v in rref_nullspace(rows, len(columns))]
         violations, unchecked = [], []
         for r in range(n):
             if model.length is not None and 2 * n - r - 1 > model.length:
                 unchecked.append(r)
                 continue
-            for b, kernel in enumerate(basis):
+            for b, kernel in enumerate(kernels):
                 tilde = symmetrized_offdiagonal(model, kernel, r)
                 violations += [Violation(b, r, ms, tilde.value(ms))
                                for ms in model.support_multisets(n - 1) if tilde.value(ms)]
-        expected = DegeneracyReport(n, tuple(basis), tuple(violations), tuple(unchecked))
+        basis = tuple(map(tuple, rref_integer_basis(rows, len(columns))))
+        expected = DegeneracyReport(n, basis, tuple(violations), tuple(unchecked))
         assert check_weak_independence(model, n) == expected
+
+    def test_sweep_builds_no_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check-wi sweep left the integer null space")
+
+        monkeypatch.setattr(weak_independence, "SymmetricKernel", refuse)
+        monkeypatch.setattr(weak_independence, "integer_numerators", refuse)
+        urn = urn_model(["a", "b", "c"], {"a": 1, "b": 2, "c": 1}, 1, 6)
+        passing = check_weak_independence(urn, 3)
+        failing = check_weak_independence(MixtureModel(F(1, 2)), 2)
+        assert passing.passed and passing.basis
+        assert not failing.passed and failing.violations[0].overlap == 0
 
 
 RATIONALS = st.one_of(
