@@ -25,14 +25,15 @@ from .decomposition import (
     wor_level_variance_derived,
     wor_level_variance_printed,
 )
-from .errors import (ArityMismatch, HorizonTooShort, IoError, ParseError, UnknownSymbol,
-                     UrnovaError, ValidationError)
+from .errors import (ArityMismatch, IoError, ParseError, UnknownSymbol, UrnovaError,
+                     ValidationError)
 from .kernels import BUILTIN_KERNELS, SymmetricKernel, builtin_kernel, expectation, from_table
 from .models import (
     MixtureModel,
     RNG_ALGORITHM,
     UrnModel,
     as_fraction,
+    check_horizon,
     urn_model,
 )
 from .report import Report, param_hash, render_csv
@@ -57,11 +58,11 @@ def _rational(value, where: str) -> Fraction:
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -87,9 +88,11 @@ def parse_model_file(path):
         if not isinstance(entry, dict) or not isinstance(entry.get("label"), str):
             raise ParseError(f"{path}: symbols[{i}] needs a string label, not {entry!r}")
         label = entry["label"]
-        if not label or any(ch.isspace() or ch == "," for ch in label):
-            # CSV rows join labels with spaces and --seq splits on commas
-            raise ParseError(f"{path}: symbols[{i}] label must be non-empty, without "
+        if not label or any(ch.isspace() or ch == "," or "\ud800" <= ch <= "\udfff"
+                            for ch in label):
+            # CSV rows join labels with spaces, --seq splits on commas, and a
+            # lone surrogate (a JSON escape) has no UTF-8 form
+            raise ParseError(f"{path}: symbols[{i}] label must be non-empty UTF-8, without "
                              f"whitespace or commas, not {label!r}")
         if "value" in entry and entry["value"] is not None:
             symbols.append((label, _rational(entry["value"], f"{path}: symbols[{i}].value")))
@@ -218,8 +221,8 @@ def cmd_validate(args):
 
 def cmd_pmf(args):
     model = parse_model_file(args.model)
-    if args.seq is None and model.length is not None and args.M > model.length:
-        raise HorizonTooShort(f"{args.model}: --M {args.M} exceeds length {model.length}")
+    if args.seq is None:
+        check_horizon(model, args.M, f"{args.model}: --M {args.M}")
     rep = Report(
         _meta(args, model),
         ["sequence", "ordered_pmf", "multiset_weight"],
@@ -242,6 +245,7 @@ def cmd_pmf(args):
 def cmd_sample(args):
     model = _require_urn(parse_model_file(args.model), "sampling")
     n = args.M or model.length
+    check_horizon(model, n, f"{args.model}: --M {n}")
     rep = Report(_meta(args, model), ["index", "sequence"])
     for i in range(args.count):
         seq = model.sample(n, seed=args.seed + i)
@@ -272,6 +276,7 @@ def cmd_coeffs(args):
 
 def cmd_decompose(args):
     model = _require_urn(parse_model_file(args.model), "decomposition")
+    check_horizon(model, args.M, f"{args.model}: --M {args.M}")
     statistic = parse_kernel_file(args.kernel[0], model, args.M)
     result = decompose(model, statistic, args.M)
     table = theta_table(args.M, model.rate)
@@ -291,7 +296,7 @@ def cmd_decompose(args):
         for s, kernel in enumerate(result.kernels, start=1):
             side = f"{args.out}.level{s}.json"
             try:
-                with open(side, "w") as fh:
+                with open(side, "w", encoding="utf-8") as fh:
                     fh.write(json.dumps(kernel_to_json(kernel), indent=1, sort_keys=True))
             except OSError as exc:
                 raise IoError(f"cannot write {side}: {exc}") from exc
@@ -300,6 +305,7 @@ def cmd_decompose(args):
 
 def cmd_covariance(args):
     model = _require_urn(parse_model_file(args.model), "covariance")
+    check_horizon(model, args.M, f"{args.model}: --M {args.M}")
     left, right = (parse_kernel_file(path, model, args.M) for path in args.kernel)
     meta = _meta(args, model, left, right)
     # the identity is stated for centered statistics; center here and record
@@ -334,8 +340,7 @@ def cmd_degenerate_cov(args):
 
 def cmd_check_wi(args):
     model = parse_model_file(args.model)
-    if model.length is not None and args.level > model.length:
-        raise HorizonTooShort(f"{args.model}: --level {args.level} exceeds length {model.length}")
+    check_horizon(model, args.level, f"{args.model}: --level {args.level}")
     rep = Report(
         _meta(args, model, scope=f"weakly-independent-up-to-level-{args.level}"),
         ["level", "row", "basis_index", "overlap", "witness", "value"],
@@ -367,7 +372,9 @@ def cmd_counterexample(args):
 
 def cmd_weak_copy(args):
     model = _require_urn(parse_model_file(args.model), "weak copies")
-    seed_stat = parse_kernel_file(args.kernel[0], model, args.level + 1)
+    arity = args.level + 1  # of the seed statistic and its tilt
+    check_horizon(model, arity, f"{args.model}: --level {args.level} (needs {arity} coordinates)")
+    seed_stat = parse_kernel_file(args.kernel[0], model, arity)
     tilted = build_weak_copy(model, args.level, seed_stat, args.eta)
     result = verify_weak_copy(tilted)
     rep = Report(

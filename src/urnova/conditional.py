@@ -18,7 +18,7 @@ from math import lcm
 
 from .coefficients import _psi_sum, phi_table
 from .combinatorics import binomial, integer_numerators
-from .errors import ArityMismatch, HorizonTooShort, IndexOutOfRange
+from .errors import ArityMismatch, IndexOutOfRange
 from .kernels import SymmetricKernel
 from .models import Record, check_horizon
 
@@ -217,10 +217,7 @@ def symmetrized_offdiagonal(model, statistic: SymmetricKernel, overlap: int) -> 
     r = overlap
     if not (0 <= r <= n - 1):
         raise IndexOutOfRange(f"overlap {r} outside 0..{n - 1}")
-    if model.length is not None and 2 * n - r - 1 > model.length:
-        raise HorizonTooShort(
-            f"needs {2 * n - r - 1} coordinates, model allows {model.length}"
-        )
+    check_horizon(model, 2 * n - r - 1)
     alphabet = model.alphabet
     support = set(model.support_multisets(n - 1))
     norm = Fraction(1, binomial(n - 1, r))

@@ -49,8 +49,7 @@ class LengthExceeded(HorizonError):
     pass
 
 
-class HorizonTooShort(HorizonError):
-    pass
+HorizonTooShort = LengthExceeded  # one horizon refusal; the old name still imports
 
 
 # -- kernels -----------------------------------------------------------------

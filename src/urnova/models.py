@@ -18,7 +18,6 @@ dictionary and take no part in equality or hashing.
 from __future__ import annotations
 
 import random
-import struct
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -265,8 +264,7 @@ class UrnModel(Record, namedtuple("UrnModel", "alphabet alpha c length"), _Law):
         """Probability of an ordered sequence of labels; the step-by-step
         oracle for the tabulated laws."""
         seq = tuple(seq)
-        if len(seq) > self.length:
-            raise LengthExceeded(f"sequence longer than horizon {self.length}")
+        check_horizon(self, len(seq))
         out = Fraction(1)
         seen = Counter()
         for i, label in enumerate(seq):
@@ -282,8 +280,7 @@ class UrnModel(Record, namedtuple("UrnModel", "alphabet alpha c length"), _Law):
         ms = self.alphabet.canon(observed)
         if not ms:
             return self
-        if len(ms) >= self.length:
-            raise LengthExceeded("posterior would have an empty horizon")
+        check_horizon(self, len(ms) + 1)  # at least one draw must remain
         cnt = Counter(ms)
         alpha = tuple(
             (label, w + self.c * cnt[label]) for label, w in self.alpha
@@ -321,22 +318,20 @@ class UrnModel(Record, namedtuple("UrnModel", "alphabet alpha c length"), _Law):
         """Draw n labels sequentially; deterministic for a given 64-bit seed.
 
         The urn holds the integer weights A_a + C*n_a, total A + C*m after m
-        draws.  CPython fills one getrandbits(64 * n) read from 32-bit words,
-        least significant first, so its i-th little-endian 64-bit word is the
-        u of the i-th getrandbits(64) call.  Each draw subtracts the weights,
-        in alphabet order, from t = floor(u * total / 2**64) until t is below
-        the next: the predictive inverse CDF at u / 2**64, exactly; a label of
-        zero weight is never drawn."""
-        if n > self.length:
-            raise LengthExceeded(f"cannot draw {n} > length {self.length}")
+        draws.  Draw i reads u, the i-th getrandbits(64) call of
+        random.Random(seed), and subtracts the weights, in alphabet order,
+        from t = floor(u * total / 2**64) until t is below the next: the
+        predictive inverse CDF at u / 2**64, exactly; a label of zero weight
+        is never drawn."""
+        check_horizon(self, n)
         weights, step = self._integer_weights
         weights = list(weights)
         total = sum(weights)
         labels = self.alphabet.labels
-        bits = random.Random(seed).getrandbits(64 * n).to_bytes(8 * n, "little")
+        bits = random.Random(seed).getrandbits
         out = []
-        for u in struct.unpack(f"<{n}Q", bits):
-            t = (u * total) >> 64
+        for _ in range(n):
+            t = (bits(64) * total) >> 64
             i = 0
             while t >= weights[i]:
                 t -= weights[i]
@@ -415,9 +410,11 @@ class MixtureModel(Record, namedtuple("MixtureModel", "epsilon"), _Law):
         )
 
 
-def check_horizon(model, needed: int):
-    """Raise LengthExceeded unless the model supports `needed` coordinates."""
+def check_horizon(model, needed: int, asker: str = ""):
+    """The one horizon rule: raise LengthExceeded (alias HorizonTooShort)
+    unless the model supports `needed` coordinates; a length of None is
+    unlimited.  Given an `asker` such as "<file>: --M 9", the message is
+    "<asker> exceeds length <length>"."""
     if model.length is not None and needed > model.length:
-        raise LengthExceeded(
-            f"needs {needed} coordinates, model allows {model.length}"
-        )
+        raise LengthExceeded(f"{asker} exceeds length {model.length}" if asker else
+                             f"needs {needed} coordinates, model allows {model.length}")

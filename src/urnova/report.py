@@ -91,13 +91,14 @@ class Report:
 
 
 def render_csv(report: Report, path=None):
-    """Write the report to `path`, or stdout when no path is given."""
+    """Write the report as UTF-8 to `path`, or stdout when no path is given."""
     try:
         if path is None:
+            sys.stdout.reconfigure(encoding="utf-8")
             report.render(sys.stdout)
             sys.stdout.flush()
         else:
-            with open(path, "w", newline="") as fh:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
                 report.render(fh)
     except OSError as exc:
         if path is None:  # e.g. a closed pipe

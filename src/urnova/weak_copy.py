@@ -21,13 +21,12 @@ from .combinatorics import permutation_count, prod, rising
 from .decomposition import decompose
 from .errors import (
     ArityMismatch,
-    LengthExceeded,
     RequiresPositiveC,
     ValidationError,
     ZeroProjection,
 )
 from .kernels import SymmetricKernel
-from .models import Record, UrnModel
+from .models import Record, UrnModel, check_horizon
 
 
 def dirichlet_moment(model: UrnModel, exponents) -> Fraction:
@@ -71,8 +70,7 @@ class TiltedModel(Record, namedtuple("TiltedModel", "base level tilt scale eta")
         next draws may run past the base horizon: with c > 0 the urn's law
         primitive holds for any number of draws."""
         seq = tuple(seq)
-        if len(seq) > self.base.length:
-            raise LengthExceeded("sequence longer than the base horizon")
+        check_horizon(self.base, len(seq))
         if self.scale != 0 and self.base.rate <= 0:
             raise RequiresPositiveC("directing-measure moments need c > 0")
         p = self.base.multiset_weight(seq) / permutation_count(seq)
@@ -100,8 +98,6 @@ def build_weak_copy(base: UrnModel, level: int, seed_statistic: SymmetricKernel,
     arity = level + 1
     if seed_statistic.arity != arity:
         raise ArityMismatch(f"seed statistic must have arity {arity}")
-    if base.length < arity:
-        raise LengthExceeded("base horizon too short to extract the tilt")
     tilt = decompose(base, seed_statistic, arity).kernels[arity - 1]
     if tilt.is_zero():
         raise ZeroProjection(

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .combinatorics import binomial, integer_numerators
 from .conditional import diagonal_family
-from .errors import HorizonTooShort, ValidationError
+from .errors import LengthExceeded, ValidationError
 from .kernels import SymmetricKernel, from_table
 from .linalg import nullspace
 from .models import MixtureModel, check_horizon
@@ -42,8 +42,7 @@ def _null_vectors(model, n: int) -> tuple:
     """
     if n < 1:
         raise ValidationError("level must be at least 1")
-    if model.length is not None and n > model.length:
-        raise HorizonTooShort(f"level {n} needs {n} coordinates")
+    check_horizon(model, n)
     rows = [offdiagonal_functional(model, ms, n - 1)[0] for ms in model.support_multisets(n - 1)]
     ncols = binomial(len(model.alphabet.labels) + n - 1, n)
     return tuple(map(tuple, nullspace(rows, ncols)))
@@ -119,10 +118,11 @@ def check_weak_independence(model, n: int) -> DegeneracyReport:
     unchecked = []
     # overlap n - 1 defines the basis: zero by construction, never past the horizon
     for r in range(n - 1):
-        if model.length is not None and 2 * n - r - 1 > model.length:
+        try:
+            functionals = [(ms, *offdiagonal_functional(model, ms, r)) for ms in support]
+        except LengthExceeded:
             unchecked.append(r)
             continue
-        functionals = [(ms, *offdiagonal_functional(model, ms, r)) for ms in support]
         for b, (vec, lead) in enumerate(zip(basis, leads)):
             for ms, functional, f_den in functionals:
                 dot = sum(map(mul, functional, vec))

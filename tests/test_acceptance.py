@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 from urnova import (
     MixtureModel,
@@ -358,7 +359,7 @@ def test_criterion_11_monte_carlo(tmp_path):
                 "--count", str(draws), "--seed", "20240601"]
         assert main(args + ["--out", out1]) == 0
         assert main(args + ["--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
         polya = urn_model(["a", "b"], {"a": 1, "b": 1}, 1, 4)
         counts = {}

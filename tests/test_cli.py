@@ -144,13 +144,13 @@ class TestCommands:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["coeffs", "--model", model, "--M", "4", "--out", out1]) == 0
         assert main(["coeffs", "--model", model, "--M", "4", "--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_coeffs_first_level(self, tmp_path):
         model = write_json(tmp_path / "m.json", polya_doc())
         out = str(tmp_path / "c.csv")
         main(["coeffs", "--model", model, "--M", "4", "--out", out])
-        rows = [line.split(",") for line in open(out).read().splitlines()]
+        rows = [line.split(",") for line in Path(out).read_text().splitlines()]
         theta11 = next(r for r in rows if r[:3] == ["theta", "1", "1"])
         # (alpha_total + c) / (alpha_total + 4 c) at alpha_total 2, c 1
         assert theta11[5] == "1/2"
@@ -158,7 +158,7 @@ class TestCommands:
     def test_counterexample_values(self, tmp_path):
         out = str(tmp_path / "w.csv")
         assert main(["counterexample", "--epsilon", "1/2", "--out", out]) == 0
-        body = open(out).read()
+        body = Path(out).read_text()
         assert "E[phi|third=0],-1/84" in body
         assert "E[phi|second=0],0" in body
 
@@ -228,13 +228,13 @@ class TestCommands:
                 "--seed", "99"]
         assert main(args + ["--out", out1]) == 0
         assert main(args + ["--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_check_wi_mixture(self, tmp_path):
         mix = write_json(tmp_path / "mix.json", {"epsilon": "1/2"})
         out = str(tmp_path / "wi.csv")
         assert main(["check-wi", "--model", mix, "--level", "2", "--out", out]) == 0
-        body = open(out).read()
+        body = Path(out).read_text()
         assert "failed" in body and "violation" in body
 
     def test_check_wi_level_above_the_horizon_exits_4_first(self, tmp_path, capsys,
@@ -262,15 +262,15 @@ class TestCommands:
         out = str(tmp_path / "o.csv")
         assert main(["validate", "--model", model, "--out", out]) == 0
         assert main(["pmf", "--model", model, "--M", "2", "--out", out]) == 0
-        assert "a a,1/3" in open(out).read()
+        assert "a a,1/3" in Path(out).read_text()
         assert main(["covariance", "--model", model, "--kernel", tbl,
                      "--kernel", tbl, "--M", "2", "--out", out]) == 0
-        body = open(out).read()
+        body = Path(out).read_text()
         assert "total," in body and "product_moment," in body
         assert main(["zhao-chen", "--M", "6", "--draws", "2", "--out", out]) == 0
-        assert "agree" in open(out).read()
+        assert "agree" in Path(out).read_text()
         assert main(["lemma3", "--N", "3", "--out", out]) == 0
-        assert "4/3" in open(out).read()
+        assert "4/3" in Path(out).read_text()
 
     def test_degenerate_cov_subcommand(self, tmp_path):
         model_path = write_json(tmp_path / "m.json", polya_doc())
@@ -282,7 +282,7 @@ class TestCommands:
         out = str(tmp_path / "o.csv")
         assert main(["degenerate-cov", "--model", model_path, "--kernel", gpath,
                      "--kernel", gpath, "--overlap", "1", "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[1].startswith("overlap,value")
 
     def test_degenerate_cov_overlap_above_arity_exits_3(self, tmp_path, capsys):
@@ -304,7 +304,7 @@ class TestCommands:
         out = str(tmp_path / "wc.csv")
         assert main(["weak-copy", "--model", model, "--kernel", kpath,
                      "--level", "1", "--eta", "1/2", "--out", out]) == 0
-        assert "passed=True" in open(out).read()
+        assert "passed=True" in Path(out).read_text()
 
 
 def read_rows(path):
@@ -378,8 +378,78 @@ class TestPmfCommand:
         assert not out.exists()
 
 
+
+class TestHorizonFlags:
+    """A coordinate-count flag past the horizon exits 4 right after the
+    model is parsed, naming the file and the flag: before the kernel file
+    is read (it does not exist here) and before any CSV is written."""
+
+    @pytest.mark.parametrize("argv, length, refusal", [
+        (["sample", "--M", "13", "--seed", "1"], 12, "--M 13"),
+        (["decompose", "--M", "7", "--kernel", "K"], 6, "--M 7"),
+        (["covariance", "--M", "7", "--kernel", "K", "--kernel", "K"], 6, "--M 7"),
+        (["weak-copy", "--level", "6", "--kernel", "K"], 6, "--level 6 (needs 7 coordinates)"),
+    ], ids=["sample", "decompose", "covariance", "weak-copy"])
+    def test_refused_before_any_work(self, tmp_path, capsys, argv, length, refusal):
+        model = write_json(tmp_path / "m.json", dict(polya_doc(), length=length))
+        missing = str(tmp_path / "missing.json")
+        out = tmp_path / "o.csv"
+        argv = [missing if a == "K" else a for a in argv]
+        assert main([argv[0], "--model", model, *argv[1:], "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (f"error[horizon]: {model}: {refusal} "
+                                           f"exceeds length {length}\n")
+        assert not out.exists()
+
+
+class TestUtf8:
+    """Documents are read, and reports written, as UTF-8 whatever the
+    locale: the CSV bytes do not depend on it."""
+
+    C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+    def run(self, argv, **env):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+                   **env)
+        return subprocess.run([sys.executable, "-m", "urnova.cli", *argv], capture_output=True,
+                              env=env, timeout=60)
+
+    def test_a_document_that_is_not_utf8_exits_2(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(polya_doc()).encode("utf-16-le"))
+        for env in ({}, self.C_LOCALE):
+            done = self.run(["validate", "--model", str(path)], **env)
+            assert done.returncode == 2
+            assert done.stderr.decode().startswith(
+                f"error[parse]: {path}: invalid JSON: 'utf-8' codec can't decode byte 0xff")
+            assert done.stdout == b""
+
+    @pytest.mark.parametrize("ensure_ascii", [False, True])
+    def test_a_label_outside_ascii_under_the_c_locale(self, tmp_path, ensure_ascii):
+        doc = dict(polya_doc(), symbols=[{"label": "\u4e2d"}, {"label": "b"}],
+                   alpha={"\u4e2d": "1", "b": "2"})
+        model = tmp_path / "m.json"
+        model.write_bytes(json.dumps(doc, ensure_ascii=ensure_ascii).encode("utf-8"))
+        default = tmp_path / "default.csv"
+        assert self.run(["validate", "--model", str(model), "--out", str(default)]).returncode == 0
+        expected = default.read_bytes()
+        assert "alpha[\u4e2d],1".encode("utf-8") in expected
+        out = tmp_path / "c.csv"
+        done = self.run(["validate", "--model", str(model), "--out", str(out)], **self.C_LOCALE)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert out.read_bytes() == expected
+        done = self.run(["validate", "--model", str(model)], **self.C_LOCALE)
+        assert (done.returncode, done.stderr, done.stdout) == (0, b"", expected)
+
+    def test_a_lone_surrogate_label_exits_2(self, tmp_path):
+        doc = dict(polya_doc(), symbols=[{"label": "\ud800"}], alpha={"\ud800": "1"})
+        model = write_json(tmp_path / "m.json", doc)
+        out = tmp_path / "o.csv"
+        assert main(["validate", "--model", model, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def meta_hash(path):
-    meta = open(path).readline().strip().split(",")
+    meta = Path(path).read_text().splitlines()[0].split(",")
     return next(f for f in meta if f.startswith("param_hash="))
 
 
@@ -666,6 +736,12 @@ class TestMalformedDocuments:
         assert code == 2
         assert "m.json" in err and "symbols[0]" in err and "['a']" in err
 
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(polya_doc()).replace('"length": 8', '"length": ' + "9" * 5000))
+        assert main(["validate", "--model", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error[parse]: {path}: invalid JSON: Exceeds")
+
     def test_unknown_builtin_exits_2(self, tmp_path, capsys):
         model = write_json(tmp_path / "m.json", polya_doc())
         kernel = write_json(tmp_path / "k.json", {"builtin": "median"})
@@ -789,8 +865,9 @@ class TestClosedStdout:
                                  *argv[1:]], stdout=stdout, stderr=subprocess.PIPE, env=env)
 
     def check(self, child):
-        err = child.stderr.read().decode()
-        assert child.wait(timeout=60) == 6
+        with child:  # closes the pipes
+            err = child.stderr.read().decode()
+            assert child.wait(timeout=60) == 6
         assert err.startswith("error[io]: cannot write stdout")
         assert "Traceback" not in err and "Exception ignored" not in err
 

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from helpers import random_kernel, sample_reference, sub_multiset_sum, sub_multisets
 from urnova import (
     MixtureModel,
+    TiltedModel,
+    check_weak_independence,
     cond_expectation,
     degenerate_basis,
     diagonal_family,
@@ -26,6 +28,7 @@ from urnova import (
     extract_kernel,
     is_degenerate,
     project_level,
+    symmetrized_offdiagonal,
     theta_table,
     urn_model,
     ustatistic,
@@ -33,6 +36,7 @@ from urnova import (
 from urnova.combinatorics import permutation_count, up
 from urnova.errors import (
     DegenerateAssumption,
+    HorizonTooShort,
     LengthExceeded,
     UnknownSymbol,
     ZeroDenominator,
@@ -187,6 +191,65 @@ class TestSampling:
         # calls, so a shorter sample is a prefix of the full-horizon one
         n = data.draw(st.integers(0, model.length), label="n")
         assert model.sample(n, seed) == sample_reference(model, n, seed) == full[:n]
+
+
+
+class TestOneHorizonRule:
+    """check_horizon is the one horizon rule: every route that needs
+    coordinates raises LengthExceeded exactly when its need exceeds the
+    model's length, and the sweep reports exactly the overlaps past it."""
+
+    @given(model=models(), seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_route_refuses_exactly_past_the_horizon(self, model, seed, data):
+        need = data.draw(st.integers(0, horizon(model) + 2), label="need")
+        rng = random.Random(seed)
+        labels = model.alphabet.labels
+        is_urn = model.length is not None
+        # a supported sequence of `need` labels, padded past the horizon
+        within = min(need, horizon(model))
+        seq = model.sample(within, seed) if is_urn else tuple(rng.choices(labels, k=within))
+        seq += labels[:1] * (need - within)
+        routes = [
+            lambda: model.size_law(need),
+            lambda: model.extension_law(seq[:1], need - len(seq[:1])),
+            lambda: model.joint_pmf(seq),
+        ]
+        if is_urn:
+            routes.append(lambda: model.sample(need, seed))
+        if is_urn and need:
+            routes.append(lambda: model.posterior(seq[:need - 1]))  # one draw must remain
+        if need:
+            n = (need + 2) // 2  # the overlap-r conditional needs 2n - r - 1 coordinates
+            routes += [
+                lambda: cond_expectation(model, random_kernel(rng, model.alphabet, 1), (),
+                                         seq[:need - 1]),
+                lambda: symmetrized_offdiagonal(
+                    model, random_kernel(rng, model.alphabet, n), 2 * n - 1 - need),
+                lambda: degenerate_basis(model, need),
+                lambda: check_weak_independence(model, need),
+            ]
+        if is_urn and model.c > 0:
+            tilted = TiltedModel(model, 1, random_kernel(rng, model.alphabet, 2), F(1, 10),
+                                 F(1, 2))
+            routes.append(lambda: tilted.marginal_pmf(seq))
+        for route in routes:
+            if is_urn and need > model.length:
+                with pytest.raises(LengthExceeded):
+                    route()
+            else:
+                route()
+
+    @given(model=models(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_the_sweep_reports_the_overlaps_past_the_horizon(self, model, data):
+        n = data.draw(st.integers(1, horizon(model)), label="n")
+        unchecked = [r for r in range(n - 1)
+                     if model.length is not None and 2 * n - r - 1 > model.length]
+        assert list(check_weak_independence(model, n).unchecked_overlaps) == unchecked
+
+    def test_one_exception_class(self):
+        assert HorizonTooShort is LengthExceeded
 
 
 def index_subsets(n, k):
