@@ -40,6 +40,11 @@ from .report import Report, param_hash, render_csv
 from .weak_copy import build_weak_copy, verify_weak_copy
 from .weak_independence import check_weak_independence, witness_report
 
+# exact values are written in full: a command lifts the interpreter's limit on
+# the digits of an int (3.10.7+) once its inputs are read; main restores it
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
 EXIT_CODES = {
     "parse": 2,
     "validation": 3,
@@ -205,17 +210,17 @@ def cmd_validate(args):
     rep = Report(_meta(args, model), ["field", "value"])
     if isinstance(model, MixtureModel):
         rep.add(field="kind", value="mixture")
-        rep.add(field="epsilon", value=str(model.epsilon))
+        rep.add(field="epsilon", value=model.epsilon)
     else:
         rep.add(field="kind", value="urn")
         rep.add(field="symbols", value=" ".join(model.alphabet.labels))
         for label, w in model.alpha:
-            rep.add(field=f"alpha[{label}]", value=str(w))
-        rep.add(field="c", value=str(model.c))
-        rep.add(field="length", value=str(model.length))
-        rep.add(field="alpha_total", value=str(model.alpha_total))
-        rep.add(field="rate", value=str(model.rate))
-        rep.add(field="double_extendible", value=str(model.is_double_extendible))
+            rep.add(field=f"alpha[{label}]", value=w)
+        rep.add(field="c", value=model.c)
+        rep.add(field="length", value=model.length)
+        rep.add(field="alpha_total", value=model.alpha_total)
+        rep.add(field="rate", value=model.rate)
+        rep.add(field="double_extendible", value=model.is_double_extendible)
     return rep
 
 
@@ -293,6 +298,7 @@ def cmd_decompose(args):
         for ms, v in kernel.entries:
             rep.add(row="kernel", level=s, a="", multiset=" ".join(ms), value=v)
     if args.out:
+        _set_digit_limit(0)
         for s, kernel in enumerate(result.kernels, start=1):
             side = f"{args.out}.level{s}.json"
             try:
@@ -380,8 +386,8 @@ def cmd_weak_copy(args):
     rep = Report(
         _meta(
             args, model, seed_stat,
-            scale=str(tilted.scale),
-            density_bound=str(result.density_bound),
+            scale=tilted.scale,
+            density_bound=result.density_bound,
             passed=str(result.passed),
         ),
         ["length", "sequence", "base_pmf", "tilted_pmf", "difference"],
@@ -511,16 +517,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
+    limit = _get_digit_limit()
     try:
         if command.kernels and len(args.kernel) != command.kernels:
             raise ValidationError(
                 f"{args.command} takes {command.kernels} --kernel file(s), got {len(args.kernel)}"
             )
         report = command.run(args)
+        _set_digit_limit(0)
         render_csv(report, args.out)
     except UrnovaError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.category, 1)
+    finally:
+        _set_digit_limit(limit)
     return 0
 
 

@@ -122,16 +122,15 @@ class Alphabet(Record, namedtuple("Alphabet", "symbols")):
 
 
 class _Law:
-    """Laws and caches shared by both model families.
-
-    Each family defines one law primitive, ``_build_size_law(k, observed)``:
-    the law of the multiset of the next k draws after an observed multiset,
-    as integers ``(nums, den)``: one numerator per size-k multiset in
-    canonical order, over one denominator.  ``size_law(n)`` is its
-    ``Fraction`` view with nothing observed, computed once per size;
-    ``extension_law`` and ``predictive`` are its ``Fraction`` view at an
-    observed multiset, and the integer-only callers read the pair itself.
-    ``diagonal_families`` holds the diagonal families built by
+    """Laws and caches shared by every exchangeable law: one law primitive,
+    ``_build_size_law(k, observed)``, read off the ordered pmf ``joint_pmf``
+    unless a family overrides it, gives the law of the multiset of the next
+    k draws after an observed multiset as integers ``(nums, den)``: one
+    numerator per size-k multiset in canonical order, over one denominator.
+    ``size_law(n)`` is its ``Fraction`` view with nothing observed, computed
+    once per size; ``extension_law`` and ``predictive`` are its ``Fraction``
+    view at an observed multiset, and the integer-only callers read the pair
+    itself.  ``diagonal_families`` holds the diagonal families built by
     :func:`urnova.conditional.diagonal_family`, keyed by statistic.
     Returned tables are shared: read them, never mutate them.
     """
@@ -153,6 +152,18 @@ class _Law:
     @cached_property
     def diagonal_families(self) -> dict:
         return {}
+
+    def _build_size_law(self, k: int, observed: tuple = ()) -> tuple:
+        """Ratios of ordered probabilities over their least common
+        denominator.  With nothing observed it is the pmf itself, so a law
+        that does not sum to one stays visible."""
+        base = self.joint_pmf(observed) if observed else 1
+        if base == 0:
+            raise ValidationError(f"cannot condition on {observed!r}: it has probability zero")
+        return integer_numerators(
+            permutation_count(ext) * self.joint_pmf(observed + ext) / base
+            for ext in self.alphabet.multisets(k)
+        )
 
     def _law(self, k: int, observed: tuple = ()) -> dict:
         """{multiset: probability} of the next k draws, from the primitive."""
@@ -398,16 +409,6 @@ class MixtureModel(Record, namedtuple("MixtureModel", "epsilon"), _Law):
         for j in range(n - k + 1):
             out += Fraction((-1) ** j) * binomial(n - k, j) * eps ** (k + j) / (k + j + 1)
         return out
-
-    def _build_size_law(self, k: int, observed: tuple = ()) -> tuple:
-        """Law of the multiset of the next k trials after observing a
-        multiset: ratios of ordered probabilities, over their least common
-        denominator."""
-        base = self.joint_pmf(observed)
-        return integer_numerators(
-            permutation_count(ext) * self.joint_pmf(observed + ext) / base
-            for ext in self.alphabet.multisets(k)
-        )
 
 
 def check_horizon(model, needed: int, asker: str = ""):

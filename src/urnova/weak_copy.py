@@ -6,7 +6,8 @@ law by 1 + scale * (degenerate polynomial of the directing measure) needs
 nothing beyond the urn's law: a tilted marginal is read from its law
 primitive (``dirichlet_moment`` is the rising-factorial oracle).  Degeneracy
 of the tilt kernel makes every marginal of dimension <= k coincide with the
-base, while the (k+1)-marginals move.
+base, while the (k+1)-marginals move.  ``TiltedModel`` is itself a law: the
+default primitive reads its size laws off ``marginal_pmf``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     ZeroProjection,
 )
 from .kernels import SymmetricKernel
-from .models import Record, UrnModel, check_horizon
+from .models import Record, UrnModel, _Law, check_horizon
 
 
 def dirichlet_moment(model: UrnModel, exponents) -> Fraction:
@@ -42,12 +43,19 @@ def dirichlet_moment(model: UrnModel, exponents) -> Fraction:
     return num / den
 
 
-class TiltedModel(Record, namedtuple("TiltedModel", "base level tilt scale eta")):
+class TiltedModel(Record, namedtuple("TiltedModel", "base level tilt scale eta"), _Law):
     """Base law reweighted by 1 + scale * tilt polynomial of the directing
     measure; immutable once built.  Marginals up to length ``level`` match
     the base; ``tilt`` is a completely degenerate kernel of arity
     level + 1; ``eta`` is the requested sup-norm budget for the density
-    tilt."""
+    tilt.  As a law it has the base's alphabet and horizon, and its ordered
+    pmf is ``marginal_pmf``."""
+
+    alphabet = property(lambda self: self.base.alphabet)
+    length = property(lambda self: self.base.length)
+
+    def joint_pmf(self, seq) -> Fraction:
+        return self.marginal_pmf(seq)
 
     @cached_property
     def coefficient_bound(self) -> Fraction:
@@ -136,43 +144,30 @@ def verify_weak_copy(tilted: TiltedModel) -> WeakCopyReport:
     Verifies: marginals of length <= level equal the base; marginal tables
     up to level + 2 (horizon permitting) sum to one; some (level+1)-marginal
     moves unless the scale is zero; the certified density bound stays below
-    eta.  Each multiset's base probability is read off the base's size law
-    and its tilted one comes from one ``marginal_pmf`` call; every ordering
-    shares that pair, so the tables are permutation-invariant by
+    eta.  Each size compares the base's size law with the tilted one, which
+    calls ``marginal_pmf`` once per multiset; every ordering reads its
+    multiset's probabilities, so the tables are permutation-invariant by
     construction.  The report keeps every checked sequence's base and
     tilted probability.
     """
     base = tilted.base
     labels = base.alphabet.labels
     k = tilted.level
-    top = min(k + 2, base.length)
-    small_ok = True
-    normalized = True
-    discrepancy = ()
+    laws = [(base.size_law(m), tilted.size_law(m)) for m in range(min(k + 2, base.length) + 1)]
     marginals = []
-    for length in range(top + 1):
-        total = Fraction(0)
-        pairs = {}
-        for key, weight in base.size_law(length).items():
-            count = permutation_count(key)
-            base_p, p = pairs[key] = (weight / count, tilted.marginal_pmf(key))
-            total += count * p
-            if length <= k and p != base_p:
-                small_ok = False
-        if length and total != 1:
-            normalized = False
-        for seq in itertools.product(labels, repeat=length):
-            pair = pairs[base.alphabet.canon(seq)]
-            if length == k + 1 and not discrepancy and pair[0] != pair[1]:
-                discrepancy = (seq, *pair)
-            marginals.append((seq, *pair))
+    for m, (base_law, law) in enumerate(laws):
+        pairs = {key: (w / permutation_count(key), law[key] / permutation_count(key))
+                 for key, w in base_law.items()}
+        marginals += ((seq, *pairs[base.alphabet.canon(seq)])
+                      for seq in itertools.product(labels, repeat=m))
     return WeakCopyReport(
         level=k,
-        checked_length=top,
-        small_marginals_match=small_ok,
+        checked_length=len(laws) - 1,
+        small_marginals_match=all(law == base_law for base_law, law in laws[:k + 1]),
         exchangeable=True,
-        normalized=normalized,
-        discrepancy=discrepancy,
+        normalized=all(sum(law.values()) == 1 for _, law in laws),
+        discrepancy=next(((seq, b, p) for seq, b, p in marginals
+                          if len(seq) == k + 1 and b != p), ()),
         degenerate_copy=(tilted.scale == 0),
         density_bound=tilted.certified_density_bound,
         density_ok=tilted.certified_density_bound < tilted.eta,

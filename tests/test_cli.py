@@ -17,6 +17,7 @@ from urnova import (
     Alphabet,
     Symbol,
     UrnModel,
+    build_weak_copy,
     builtin_kernel,
     decompose,
     expectation,
@@ -518,7 +519,8 @@ def zero_weight_doc():
 def output_digests(tmp_path) -> dict:
     """sha256 of every CSV and level sidecar of small runs over the urn
     regimes c > 0, c = -1 and fractional c < 0, and of check-wi runs on a
-    zero-weight letter, a short horizon and the mixture, keyed by file name."""
+    zero-weight letter, a short horizon and the mixture, and of one run of
+    each remaining command, keyed by file name."""
     polya = write_json(tmp_path / "polya.json", polya_doc())
     half = write_json(tmp_path / "half.json", dict(polya_doc(), c="1/2"))
     wor = write_json(tmp_path / "wor.json",
@@ -549,6 +551,14 @@ def output_digests(tmp_path) -> dict:
         # overlaps 0..2 at level 4 need more than 4 coordinates: not-checkable rows
         "check-wi-short": ["check-wi", "--model", short, "--level", "4"],
         "check-wi-mixture": ["check-wi", "--model", mix, "--level", "3"],
+        "validate": ["validate", "--model", frac],
+        "pmf": ["pmf", "--model", zero, "--M", "3"],
+        # the mixture's size law and the counterexample's functional read
+        # the law primitive of a pmf-defined law
+        "pmf-mixture": ["pmf", "--model", mix, "--M", "4"],
+        "sample": ["sample", "--model", frac, "--count", "5", "--seed", "7"],
+        "counterexample": ["counterexample", "--epsilon", "3/7"],
+        "lemma3": ["lemma3", "--N", "5"],
     }
     digests = {}
     for name, argv in runs.items():
@@ -580,6 +590,12 @@ PINNED_DIGESTS = {
     "check-wi-zero.csv": "57d9a4ee4bf4cd22e16c6063f48fb81782a59c05aade9f337bce3ce0fb9005f5",
     "check-wi-short.csv": "3e61a0c24d553391d8fca6a91d401e1d0fa8e94f9a3744c5453950a3a9230fa3",
     "check-wi-mixture.csv": "0c8d0838dc7754902b7f2db1143b08d391050daf45788386ddcbeac65023e31a",
+    "validate.csv": "b65854e648fb5cb7001e0c52bb95739d4f455af6f77511f4f6d4d2b3777a7667",
+    "pmf.csv": "3204d32cd52e97c97595db5917f7700d0d5740b4012e33a59a117fe6d041d42a",
+    "pmf-mixture.csv": "a4d8c3d82c9bb78ae27062f2c0b1530185223e26d2b2160457c2ca4ff2c3c5cf",
+    "sample.csv": "49a9f0e939d79ffb726972dec4baa2ea0b4655d3dcd0a1479f0095ea4dcb17ed",
+    "counterexample.csv": "06f407852bdd6799e861e7fa4e6aed8755314e4f4fc7dd63bf02472c3045295e",
+    "lemma3.csv": "7604d01f76c3d8dcf92050b650f613f02fef6ec247eb1705dc77ac6d87cae0dd",
 }
 
 
@@ -835,6 +851,86 @@ class TestMalformedDocuments:
         kernel_path = write_json(tmp_path / "k.json", kernel or {"builtin": "max"})
         assert main(["decompose", "--model", model_path, "--kernel", kernel_path, "--M", "1"]) == 3
         assert f"{where}: {message}" in capsys.readouterr().err
+
+
+class TestValuesPastTheDigitLimit:
+    """Exact values are written in full, however many digits they have:
+    CSV cells, #meta values and level sidecars.  Inputs keep the
+    interpreter's digit limit (see TestMalformedDocuments), and main
+    restores the limit when it returns."""
+
+    @pytest.fixture
+    def unlimited(self):
+        """Read the written values back, past the limit main restored."""
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this interpreter has no digit limit")
+        limit = sys.get_int_max_str_digits()
+        yield lambda: sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(limit)
+
+    def run(self, argv, code=0):
+        limit = sys.get_int_max_str_digits()
+        assert main(argv) == code
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_pmf_of_a_4002_digit_weight(self, tmp_path, unlimited):
+        doc = dict(polya_doc(), symbols=[{"label": "a"}, {"label": "b"}],
+                   alpha={"a": "1" + "0" * 4000 + "1", "b": "1"}, length=4)
+        path = write_json(tmp_path / "m.json", doc)
+        out = tmp_path / "o.csv"
+        self.run(["pmf", "--model", path, "--M", "2", "--out", str(out)])
+        model = parse_model_file(path)
+        unlimited()
+        rows = read_rows(out)
+        assert [row["sequence"] for row in rows] == ["a a", "a b", "b b"]
+        for row in rows:
+            weight = model.multiset_weight(row["sequence"].split())
+            assert F(row["multiset_weight"]) == weight
+            assert len(row["multiset_weight"]) > 4300 or row["sequence"] == "b b"
+
+    def test_decompose_sidecars_of_a_2202_digit_weight(self, tmp_path, unlimited):
+        path = write_json(tmp_path / "m.json", dict(polya_doc(), alpha={"a": "7" * 2202, "b": "1"},
+                                                    length=4))
+        kernel = write_json(tmp_path / "max.json", {"builtin": "max"})
+        out = tmp_path / "d.csv"
+        self.run(["decompose", "--model", path, "--kernel", kernel, "--M", "3",
+                  "--out", str(out)])
+        model = parse_model_file(path)
+        result = decompose(model, builtin_kernel(model.alphabet, 3, "max"), 3)
+        unlimited()
+        for s, level in enumerate(result.kernels, start=1):
+            assert parse_kernel_file(f"{out}.level{s}.json", model) == level
+        kernel_rows = [row for row in read_rows(out) if row["row"] == "kernel"]
+        assert [F(row["value"]) for row in kernel_rows] == [
+            v for level in result.kernels for _, v in level.entries]
+        assert max(len(row["value"]) for row in kernel_rows) > 4300
+
+    def test_validate_of_two_2202_digit_denominators(self, tmp_path, unlimited):
+        doc = dict(polya_doc(), alpha={"a": "1/" + "3" * 2202, "b": "1/" + "7" * 2201 + "1"})
+        path = write_json(tmp_path / "m.json", doc)
+        out = tmp_path / "v.csv"
+        self.run(["validate", "--model", path, "--out", str(out)])
+        model = parse_model_file(path)
+        unlimited()
+        values = {row["field"]: row["value"] for row in read_rows(out)}
+        assert F(values["alpha_total"]) == model.alpha_total
+        assert F(values["rate"]) == model.rate
+        assert len(values["alpha_total"]) > 4300
+
+    def test_weak_copy_meta_and_an_error_exit(self, tmp_path, capsys, unlimited):
+        doc = {"symbols": [{"label": x, "value": str(i)} for i, x in enumerate("abc")],
+               "alpha": {"a": "7" * 1200, "b": "1", "c": "2"}, "c": "1", "length": 3}
+        model = write_json(tmp_path / "m.json", doc)
+        kernel = write_json(tmp_path / "max.json", {"builtin": "max"})
+        out = tmp_path / "w.csv"
+        self.run(["weak-copy", "--model", model, "--kernel", kernel, "--out", str(out)])
+        self.run(["weak-copy", "--model", model, "--kernel", kernel, "--level", "9"], code=4)
+        unlimited()
+        meta = dict(cell.split("=", 1) for cell in out.read_text().splitlines()[0].split(",")[1:])
+        base = parse_model_file(model)
+        tilted = build_weak_copy(base, 1, builtin_kernel(base.alphabet, 2, "max"), F(1, 2))
+        assert F(meta["scale"]) == tilted.scale and len(meta["scale"]) > 4300
+        assert meta["density_bound"] == "1/4"  # scale * coefficient bound = eta / 2
 
 
 class TestStartup:

@@ -187,8 +187,8 @@ class TestSampling:
     def test_integer_walk_equals_fraction_inverse_cdf(self, model, seed, data):
         full = model.sample(model.length, seed)
         assert full == sample_reference(model, model.length, seed)
-        # one getrandbits(64 * n) read must give the words of n getrandbits(64)
-        # calls, so a shorter sample is a prefix of the full-horizon one
+        # draw i reads the i-th getrandbits(64) call of the seeded stream,
+        # so a shorter sample is a prefix of the full-horizon one
         n = data.draw(st.integers(0, model.length), label="n")
         assert model.sample(n, seed) == sample_reference(model, n, seed) == full[:n]
 

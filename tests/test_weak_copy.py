@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from urnova import (
     build_weak_copy,
+    check_weak_independence,
     constant_kernel,
+    degenerate_basis,
     dirichlet_moment,
     indicator_kernel,
+    symmetrized_offdiagonal,
     urn_model,
     verify_weak_copy,
 )
@@ -22,6 +25,7 @@ from urnova.errors import (
     ZeroProjection,
 )
 from urnova.weak_copy import TiltedModel
+from urnova.weak_independence import Violation
 from helpers import random_kernel
 
 
@@ -233,3 +237,80 @@ class TestVerify:
         for length in (1, 2, 3):
             assert sum(tilted.marginal_pmf(seq)
                        for seq in product("01", repeat=length)) == 1
+
+
+def zero_letter_copy(c):
+    """A weak copy over a, b and a letter z of zero weight: built by the
+    tilt when c > 0, at scale zero (the base law itself) otherwise."""
+    alpha = {"a": 3, "b": 4, "z": 0} if c < 0 else {"a": 1, "b": F(1, 2), "z": 0}
+    base = urn_model(["a", "b", "z"], alpha, c, 4)
+    built = build_weak_copy(polya01(), 1, indicator_kernel(polya01().alphabet, ("1", "1")),
+                            F(1, 2))
+    if c <= 0:
+        return TiltedModel(base, 1, built.tilt, F(0), built.eta)
+    return build_weak_copy(base, 1, random_kernel(random.Random(7), base.alphabet, 2), F(1, 2))
+
+
+class TestTiltedLaw:
+    """A weak copy is a law over its base's alphabet and horizon whose
+    size laws come from the default primitive: ratios of marginal_pmf."""
+
+    @pytest.mark.parametrize("c", [F(1), F(1, 3), F(0), F(-1)])
+    def test_laws_are_ratios_of_marginal_pmf(self, c):
+        tilted = zero_letter_copy(c)
+        labels = tilted.alphabet.labels
+        pmf = tilted.marginal_pmf
+
+        def brute(observed, k):
+            law = {ext: F(0) for ext in tilted.alphabet.multisets(k)}
+            for seq in product(labels, repeat=k):
+                law[tilted.alphabet.canon(seq)] += pmf(observed + seq) / pmf(observed)
+            return law
+
+        assert tilted.length == tilted.base.length == 4
+        for m in range(tilted.length + 1):
+            assert tilted.size_law(m) == brute((), m)
+            for observed in tilted.support_multisets(m):
+                for k in range(tilted.length - m + 1):
+                    assert tilted.extension_law(observed, k) == brute(observed, k)
+                if m < tilted.length:
+                    assert tilted.predictive(observed) == {
+                        a: pmf(observed + (a,)) / pmf(observed) for a in labels}
+        assert tilted.size_law(1)[("z",)] == 0
+
+    def test_zero_probability_is_refused(self):
+        tilted = zero_letter_copy(F(1))
+        for observed in (("z",), ("a", "z")):
+            with pytest.raises(ValidationError) as refusal:
+                tilted.extension_law(observed, 1)
+            assert repr(observed) in str(refusal.value)
+        # the urn's closed form still conditions on z
+        assert tilted.base.predictive(("z",)) == {"a": F(2, 5), "b": F(1, 5), "z": F(2, 5)}
+
+    def test_constant_tilt_stays_unnormalized(self):
+        base = polya01()
+        tilted = TiltedModel(base, 1, constant_kernel(base.alphabet, 2, 1), F(1, 4), F(1, 2))
+        assert tilted.size_law(0) == {(): F(5, 4)}
+        assert sum(tilted.size_law(2).values()) == F(5, 4)
+        report = verify_weak_copy(tilted)
+        assert not report.normalized and not report.passed
+
+    @pytest.mark.parametrize("level, length, failing", [(1, 6, 2), (2, 6, 2), (3, 7, 3)])
+    def test_weak_independence_of_copies(self, level, length, failing):
+        base = urn_model(["a", "b", "c"], {"a": 1, "b": 2, "c": 3}, 1, length)
+        seed = random_kernel(random.Random(level), base.alphabet, level + 1)
+        tilted = build_weak_copy(base, level, seed, F(1, 2))
+        # levels n with 2n - 1 <= level read marginals of at most `level`
+        # coordinates, which the copy shares with the base
+        for n in range(1, (level + 1) // 2 + 1):
+            assert check_weak_independence(tilted, n) == check_weak_independence(base, n)
+        assert check_weak_independence(base, failing).passed
+        report = check_weak_independence(tilted, failing)
+        expected = []
+        for r in range(failing - 1):
+            for b, kernel in enumerate(degenerate_basis(tilted, failing)):
+                oracle = symmetrized_offdiagonal(tilted, kernel, r)
+                expected += [Violation(b, r, ms, oracle.value(ms))
+                             for ms in tilted.support_multisets(failing - 1) if oracle.value(ms)]
+        assert report.violations == tuple(expected)
+        assert len(expected) == {1: 9, 2: 9, 3: 46}[level]
