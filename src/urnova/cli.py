@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -32,7 +33,6 @@ from .models import (
     MixtureModel,
     RNG_ALGORITHM,
     UrnModel,
-    as_fraction,
     check_horizon,
     urn_model,
 )
@@ -54,10 +54,25 @@ EXIT_CODES = {
 }
 
 
+# a rational is an int, or an optional sign, digits and optionally /digits;
+# checked first, as Fraction("1e5000") builds a 5001-digit integer
+RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def rational(value) -> Fraction:
+    """A flag's or a document's rational, as a Fraction."""
+    if type(value) is int or isinstance(value, str) and RATIONAL_TEXT.fullmatch(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # p/0, or digits past the interpreter's limit
+            pass
+    raise argparse.ArgumentTypeError(f"not a rational: {value!r}")
+
+
 def _rational(value, where: str) -> Fraction:
     try:
-        return as_fraction(value)
-    except (ValidationError, ValueError, ZeroDivisionError):
+        return rational(value)
+    except argparse.ArgumentTypeError:
         raise ParseError(f"{where}: not a rational: {value!r}") from None
 
 
@@ -448,13 +463,6 @@ def non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
     return value
-
-
-def rational(text: str) -> Fraction:
-    try:
-        return as_fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
 # argparse settings of each flag; a command's table entry may add to them

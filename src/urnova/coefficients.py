@@ -69,7 +69,7 @@ def phi_table(M: int, rate):
     R[x][k] = prod_{t=x}^{x+k-1} (Q + P*t):
     phi(n, m, r, p) = P^p * perm(m-r, p) * R[r+p][m-r-p] / R[n][m-r].
     The formula also holds for m > n, where it weights the conditional of
-    an m-argument statistic given n observed values (expand_conditional).
+    an m-block given n observed values (nested_conditional).
     """
     rate = Fraction(rate)
     P, Q = rate.numerator, rate.denominator

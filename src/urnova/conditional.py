@@ -116,7 +116,9 @@ def _expansion(model, statistic: SymmetricKernel, coef, top: int, shared,
                outside) -> Fraction:
     """sum_{p <= top} coef(phi, p) * (the statistic's diagonal family summed
     over shared + each p-subset of outside), where phi is the statistic's
-    phi_table at the model's rate."""
+    phi_table at the model's rate.  An observed block of probability zero
+    is refused by the law primitive."""
+    model.extension_law(shared + outside, 0)
     fam = diagonal_family(model, statistic)
     phi = phi_table(statistic.arity, model.rate)
     total = Fraction(0)
@@ -134,28 +136,24 @@ def _expansion(model, statistic: SymmetricKernel, coef, top: int, shared,
 
 
 def expand_conditional(model, statistic: SymmetricKernel, common, extra) -> Fraction:
-    """Conditional of the statistic with partial overlap, rebuilt from the
-    diagonal family alone (no fresh enumeration).
-
-    The observed block has r = len(common) shared values and len(extra)
-    outside ones; the result is a two-block polynomial identity in the
-    replacement constant, exact for every urn model.  Its coefficients are
-    phi(n, arity, r, p) with n = r + len(extra) <= arity observed values.
-    """
+    """Conditional of the statistic given len(common) of its own arguments
+    and len(extra) outside values, rebuilt from the diagonal family alone:
+    :func:`nested_conditional` with m = arity, which needs
+    len(common) + len(extra) <= arity."""
     common = tuple(common)
     extra = tuple(extra)
-    n = len(common) + len(extra)
-    if n > statistic.arity:
+    if len(common) + len(extra) > statistic.arity:
         raise ArityMismatch("conditioning block larger than the statistic")
-    check_horizon(model, statistic.arity + len(extra))
-    return _expansion(model, statistic, lambda phi, p: phi(n, statistic.arity, len(common), p),
-                      len(extra), common, extra)
+    return nested_conditional(model, statistic, statistic.arity, len(common), common + extra)
 
 
 def nested_conditional(model, statistic: SymmetricKernel, m: int, overlap: int,
                        conditioning) -> Fraction:
     """E[ diag_m(one m-block) | an n-block of observed values ] where the two
-    blocks share `overlap` coordinates.
+    blocks share `overlap` coordinates, for 1 <= m <= M, n <= M and
+    0 <= overlap <= min(m, n), M the statistic's arity.  It is a two-block
+    polynomial identity in the replacement constant with the coefficients
+    phi(n, m, overlap, p), exact for every urn model.
 
     ``conditioning`` carries the n observed values with the shared ones
     first; by exchangeability only the overlap matters, so this canonical
@@ -165,7 +163,7 @@ def nested_conditional(model, statistic: SymmetricKernel, m: int, overlap: int,
     n = len(conditioning)
     M = statistic.arity
     r = overlap
-    if not (1 <= m <= n <= M and 0 <= r <= m):
+    if not (1 <= m <= M and n <= M and 0 <= r <= min(m, n)):
         raise IndexOutOfRange(f"bad sizes m={m}, n={n}, M={M}, overlap={r}")
     check_horizon(model, n + m - r)
     return _expansion(model, statistic, lambda phi, p: phi(n, m, r, p), m - r,
@@ -200,11 +198,12 @@ def nested_conditional_at(model, statistic: SymmetricKernel, block, observed_blo
 def nested_conditional_sum(model, statistic: SymmetricKernel, m: int,
                            conditioning) -> Fraction:
     """Sum of :func:`nested_conditional` over every m-subset of the horizon,
-    collapsed to the aggregated coefficient table."""
+    for 1 <= m <= M and n <= M, collapsed to the aggregated coefficient
+    table."""
     conditioning = tuple(conditioning)
     n = len(conditioning)
     M = statistic.arity
-    if not (1 <= m <= n <= M):
+    if not (1 <= m <= M and n <= M):
         raise IndexOutOfRange(f"bad sizes m={m}, n={n}, M={M}")
     return _expansion(model, statistic, lambda phi, q: _psi_sum(M, q, n, m, phi), m,
                       (), conditioning)

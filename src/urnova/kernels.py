@@ -218,55 +218,43 @@ def _raw_max_integral(model, free: int, fixed_values) -> Fraction:
 def _tie_constants(rate, draws: int, occupied: int):
     """Coefficients rate^k e_k(1..draws-1) / prod of denominators for a run
     of `draws` extractions whose measure already carries `occupied`
-    increments, at unit total weight."""
+    increments, at unit total weight; a run of no draws has the one
+    coefficient 1."""
     den = prod(1 + rate * (occupied + t - 1) for t in range(1, draws + 1))
     e = [1]  # e_k(1..draws-1) is the x^k coefficient of prod_{t < draws} (1 + t x)
     for t in range(1, draws):
         e = [a + t * b for a, b in zip(e + [0], [0] + e)]
-    return [rate**k * e_k / den for k, e_k in enumerate(e[:draws])]
+    return [rate**k * e_k / den for k, e_k in enumerate(e)]
 
 
 def max_mean_closed_form(model, horizon: int) -> Fraction:
-    """E[max of the first `horizon` draws] without enumerating sequences.
+    """E[max of the first `horizon` draws] without enumerating sequences:
+    the conditional closed form at level 0."""
+    return max_cond_closed_form(model, horizon, 0, ())
+
+
+def max_cond_closed_form(model, horizon: int, level: int, args) -> Fraction:
+    """Conditional expectation of the maximum of the first `horizon` draws
+    given the first `level` of them, the values `args`, for every level
+    from 0 to the horizon.
 
     Ties between draws collapse the maximum onto fewer fresh coordinates;
     the tie pattern count gives elementary symmetric sums and the fresh
     coordinates integrate against products of normalized weights.
-    """
-    check_horizon(model, horizon)
-    if not model.alphabet.is_numeric():
-        raise NonNumericAlphabet("max needs numeric symbol values")
-    coeffs = _tie_constants(model.rate, horizon, occupied=0)
-    total = Fraction(0)
-    for k, n_k in enumerate(coeffs):
-        if n_k == 0:
-            continue
-        total += n_k * _raw_max_integral(model, horizon - k, ())
-    return total
-
-
-def max_cond_closed_form(model, horizon: int, level: int, args) -> Fraction:
-    """Conditional expectation of the horizon maximum given `level` observed
-    values (level 1 or 2), via the same tie-collapse coefficients.
-
     Conditioning shortens the run to horizon - level draws and adds one
     weight increment per observed value; expanding the shifted measure
     yields binomially weighted raw integrals with the observed values glued
     into the max.
     """
-    if level not in (1, 2):
-        raise ValueError("only 1- and 2-point conditioning is supported")
     if len(args) != level:
         raise ArityMismatch(f"level {level} needs exactly {level} arguments")
+    if horizon < max(level, 1):
+        raise ArityMismatch(f"horizon {horizon} must be at least 1 and at least the level {level}")
     check_horizon(model, horizon)
     if not model.alphabet.is_numeric():
         raise NonNumericAlphabet("max needs numeric symbol values")
     values = [model.alphabet.value(label) for label in args]
     free = horizon - level
-    if free < 0:
-        raise ArityMismatch("more conditioning values than draws")
-    if free == 0:
-        return max(values)
     rate = model.rate
     coeffs = _tie_constants(rate, free, occupied=level)
     total = Fraction(0)

@@ -292,6 +292,7 @@ class UrnModel(Record, namedtuple("UrnModel", "alphabet alpha c length"), _Law):
         if not ms:
             return self
         check_horizon(self, len(ms) + 1)  # at least one draw must remain
+        self._build_size_law(0, ms)  # refuses an observation of probability zero
         cnt = Counter(ms)
         alpha = tuple(
             (label, w + self.c * cnt[label]) for label, w in self.alpha
@@ -304,15 +305,17 @@ class UrnModel(Record, namedtuple("UrnModel", "alphabet alpha c length"), _Law):
         C*n_a, the numerator of ext is
         multinomial(ext) * prod_a prod_{j<e_a} (A_a + jC) and the
         denominator prod_{i<k} (A + iC).  At k = 1 that is A_a + C*n_a over
-        A + C*len(observed)."""
+        A + C*len(observed).  Like the default, it refuses an observed
+        multiset of probability zero."""
         weights, step = self._integer_weights
         cnt = Counter(observed)
         factors = {}
         for label, w in zip(self.alphabet.labels, weights):
-            w += step * cnt[label]
-            if w < 0:
-                raise ValidationError(f"observing {observed!r} exhausts {label!r}")
-            factors[label] = rising(w, step, k)
+            seen = cnt[label]
+            # a letter seen with no weight, or seen more often than c < 0 allows
+            if seen and (w == 0 or w + step * seen < 0):
+                raise ValidationError(f"cannot condition on {observed!r}: it has probability zero")
+            factors[label] = rising(w + step * seen, step, k)
         nums = []
         for ext in self.alphabet.multisets(k):
             num, i = factorial(k), 0

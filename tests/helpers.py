@@ -2,15 +2,18 @@
 every replacement regime, independent projection oracles (Gram matrix,
 i.i.d. inclusion-exclusion) used to cross-check the decomposition, a
 rational RREF for the null spaces, the sub-multiset enumerator for sums
-over positions-subsets, and a step-by-step reference for the sampling
-stream."""
+over positions-subsets, a step-by-step reference for the sampling stream,
+and a hypothesis strategy of numeric urn models over every replacement
+regime."""
 
 import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, groupby
-from math import comb
+from math import ceil, comb
 
+from hypothesis import assume
+from hypothesis import strategies as st
 from urnova import (
     constant_kernel,
     degenerate_basis,
@@ -63,6 +66,24 @@ def model_grid(size, length):
         urn_model(symbols, {l: wor_each for l in labels}, F(-1), length),
         urn_model(symbols, {l: F(2 * i + 1, 3) for i, l in enumerate(labels)}, F(1, 3), length),
     ]
+
+
+@st.composite
+def urn_models(draw, max_length=4):
+    """An urn over one to three letters with integer values, from one
+    regime: c > 0, c = 0, c = -1 or c = -1/2.  Weights may be zero, so
+    observations of probability zero occur."""
+    regime = draw(st.sampled_from(["polya", "iid", "wor", "frac"]))
+    symbols = [(label, draw(st.integers(-2, 3))) for label in "abc"[:draw(st.integers(1, 3))]]
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(symbols), max_size=len(symbols)))
+    assume(any(weights))
+    c = {"polya": F(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+         "iid": F(0), "wor": F(-1), "frac": F(-1, 2)}[regime]
+    den = 2 if regime in ("polya", "frac") else 1
+    alpha = {label: F(w, den) for (label, _), w in zip(symbols, weights)}
+    if c < 0:  # the predictive denominator must stay positive across the horizon
+        max_length = min(max_length, ceil(sum(alpha.values()) / -c))
+    return urn_model(symbols, alpha, c, draw(st.integers(1, max_length)))
 
 
 def values_agree(model, left, right, size):

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -931,6 +932,70 @@ class TestValuesPastTheDigitLimit:
         tilted = build_weak_copy(base, 1, builtin_kernel(base.alphabet, 2, "max"), F(1, 2))
         assert F(meta["scale"]) == tilted.scale and len(meta["scale"]) > 4300
         assert meta["density_bound"] == "1/4"  # scale * coefficient bound = eta / 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_documents():
+    """The json blocks of the README's "Model files" and "Kernel files"
+    sections, and the mixture document quoted in the first."""
+    text = README.read_text(encoding="utf-8")
+    blocks = {}
+    for section in ("Model files", "Kernel files"):
+        body = text.split(f"### {section}\n", 1)[1].split("\n#", 1)[0]
+        blocks[section] = json.loads(re.search(r"```json\n(.*?)```", body, re.S).group(1))
+    mixture = re.search(r"A mixture model\s+file is just `(\{.*?\})`", text).group(1)
+    return blocks["Model files"], blocks["Kernel files"], json.loads(mixture)
+
+
+class TestReadmeExamples:
+    def test_examples_run(self, tmp_path, capsys):
+        model_doc, kernel_doc, mixture_doc = readme_documents()
+        model = write_json(tmp_path / "model.json", model_doc)
+        kernel = write_json(tmp_path / "kernel.json", kernel_doc)
+        mixture = write_json(tmp_path / "mixture.json", mixture_doc)
+        out = str(tmp_path / "o.csv")
+        for argv in (["validate", "--model", model],
+                     ["validate", "--model", mixture],
+                     ["decompose", "--model", model, "--kernel", kernel, "--M", "2"],
+                     ["check-wi", "--model", mixture]):
+            assert main([*argv, "--out", out]) == 0, capsys.readouterr().err
+
+
+class TestRationalForms:
+    """A rational in a document or a flag is an integer, or a string of an
+    optional sign, digits and optionally /digits; any other form exits 2,
+    and is refused before a Fraction is built from it."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("3", F(3)), ("+3", F(3)), ("-1/2", F(-1, 2)), ("007/014", F(1, 2)), (5, F(5)),
+    ])
+    def test_accepted_forms(self, tmp_path, text, value):
+        doc = dict(polya_doc(), symbols=[{"label": "a", "value": text}, {"label": "b"}])
+        assert parse_model_file(write_json(tmp_path / "m.json", doc)).alphabet.value("a") == value
+
+    @pytest.mark.parametrize("text", [
+        "1e5000", "1e10000000", "0.5", "1/2 ", " 1", "1_000", "\u0661", "1/", "/2", "+-1",
+        "", 0.5,
+    ])
+    def test_other_forms_exit_2(self, tmp_path, capsys, text):
+        doc = dict(polya_doc(), alpha={"a": text, "b": "1"})
+        assert main(["validate", "--model", write_json(tmp_path / "m.json", doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"error[parse]: {tmp_path / 'm.json'}: alpha['a']: not a rational: {text!r}\n")
+
+    def test_exponent_epsilon_in_a_document_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", {"epsilon": "1e-5000"})
+        assert main(["validate", "--model", path]) == 2
+        assert "epsilon: not a rational: '1e-5000'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1e-5000", "0.5", "1/2 "])
+    def test_other_flag_forms_exit_2(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "--epsilon", text])
+        assert exc.value.code == 2
+        assert f"--epsilon: not a rational: {text!r}" in capsys.readouterr().err
 
 
 class TestStartup:

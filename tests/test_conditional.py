@@ -4,6 +4,8 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urnova import (
     MixtureModel,
@@ -21,8 +23,14 @@ from urnova import (
     urn_model,
     zero_kernel,
 )
-from urnova.errors import HorizonTooShort, IndexOutOfRange, LengthExceeded
-from helpers import model_grid, random_kernel
+from urnova.errors import (
+    ArityMismatch,
+    HorizonTooShort,
+    IndexOutOfRange,
+    LengthExceeded,
+    ValidationError,
+)
+from helpers import model_grid, random_kernel, urn_models
 
 
 def polya3(length=10):
@@ -237,6 +245,107 @@ class TestNestedSum:
         model = polya3(8)
         z = zero_kernel(model.alphabet, 3)
         assert nested_conditional_sum(model, z, 2, ("a", "b", "c")) == 0
+
+
+class TestWidenedDomains:
+    """nested_conditional and nested_conditional_sum at every block size,
+    m > n and n = 0 included, against the two-stage enumeration; an
+    observation of probability zero is refused, and a block past the
+    horizon exits as LengthExceeded."""
+
+    @given(model=urn_models(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_nested_conditional_at_every_size(self, model, data):
+        M = data.draw(st.integers(1, model.length))
+        k = random_kernel(random.Random(data.draw(st.integers(0, 99))), model.alphabet, M)
+        fam = diagonal_family(model, k)
+        for n in range(M + 1):
+            for ms in model.alphabet.multisets(n):
+                vals = data.draw(st.permutations(ms))
+                possible = model.multiset_weight(ms) != 0
+                for m_ in range(1, M + 1):
+                    for r in range(min(m_, n) + 1):
+                        if n + m_ - r > model.length:
+                            with pytest.raises(LengthExceeded):
+                                nested_conditional(model, k, m_, r, vals)
+                        elif not possible:
+                            with pytest.raises(ValidationError, match="probability zero"):
+                                nested_conditional(model, k, m_, r, vals)
+                        else:
+                            assert (nested_conditional(model, k, m_, r, vals)
+                                    == two_stage_oracle(model, fam, m_, r, vals))
+
+    @given(model=urn_models(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_nested_sum_at_every_size(self, model, data):
+        M = data.draw(st.integers(1, model.length))
+        k = random_kernel(random.Random(data.draw(st.integers(0, 99))), model.alphabet, M)
+        fam = diagonal_family(model, k)
+        for n in range(M + 1):
+            for ms in model.alphabet.multisets(n):
+                vals = data.draw(st.permutations(ms))
+                possible = model.multiset_weight(ms) != 0
+                for m_ in range(1, M + 1):
+                    if not possible:
+                        with pytest.raises(ValidationError, match="probability zero"):
+                            nested_conditional_sum(model, k, m_, vals)
+                        continue
+                    brute = F(0)
+                    for block in combinations(range(M), m_):
+                        shared = tuple(vals[i] for i in block if i < n)
+                        outside = tuple(v for i, v in enumerate(vals) if i not in block)
+                        brute += two_stage_oracle(model, fam, m_, len(shared), shared + outside)
+                    assert nested_conditional_sum(model, k, m_, vals) == brute
+
+    def test_sizes_outside_the_domain(self):
+        model = polya3(8)
+        k = random_kernel(random.Random(35), model.alphabet, 3)
+        for m_, r, vals in ((0, 0, ()), (4, 0, ()), (2, 1, ()), (2, 3, ("a",) * 3),
+                            (1, 0, ("a",) * 4)):
+            with pytest.raises(IndexOutOfRange):
+                nested_conditional(model, k, m_, r, vals)
+        for m_, vals in ((0, ("a",)), (4, ()), (1, ("a",) * 4)):
+            with pytest.raises(IndexOutOfRange):
+                nested_conditional_sum(model, k, m_, vals)
+        with pytest.raises(ArityMismatch):
+            expand_conditional(model, k, ("a", "b"), ("c", "a"))
+
+
+class TestImpossibleObservation:
+    """Every conditioning route refuses an observed multiset of probability
+    zero with the law primitive's ValidationError."""
+
+    @pytest.mark.parametrize("alpha, c, observed", [
+        ({"a": 1, "b": F(1, 2), "z": 0}, 1, ("z",)),
+        ({"a": 1, "b": F(1, 2), "z": 0}, 1, ("a", "z")),
+        ({"a": 1, "b": F(1, 2), "z": 0}, 0, ("z",)),
+        ({"a": 1, "b": 2, "z": 0}, -1, ("z",)),
+        ({"a": 1, "b": 2, "z": 1}, -1, ("a", "a")),
+        ({"a": 1, "b": 1, "z": F(1, 2)}, F(-1, 2), ("z", "z")),
+    ])
+    def test_refused_on_every_route(self, alpha, c, observed):
+        model = urn_model(["a", "b", "z"], alpha, c, 3)
+        k = random_kernel(random.Random(80), model.alphabet, 2)
+        routes = [
+            lambda: model.extension_law(observed, 1),
+            lambda: model.predictive(observed),
+            lambda: model.posterior(observed),
+            lambda: cond_expectation(model, k, observed[:1], observed[1:]),
+            lambda: expand_conditional(model, k, observed, ()),
+            lambda: nested_conditional(model, k, 1, 0, observed),
+            lambda: nested_conditional_sum(model, k, 1, observed),
+        ]
+        for route in routes:
+            with pytest.raises(ValidationError) as refusal:
+                route()
+            assert str(refusal.value) == (f"cannot condition on {observed!r}: "
+                                          "it has probability zero")
+
+    def test_an_exhausted_letter_may_still_be_observed(self):
+        # c = -1 with weight 1: one draw of a is possible, the second is not
+        model = urn_model(["a", "b"], {"a": 1, "b": 2}, -1, 3)
+        assert model.predictive(("a",)) == {"a": 0, "b": 1}
+        assert model.posterior(("a",)).alpha_of("a") == 0
 
 
 class TestSymmetrizedOffdiagonal:

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urnova import (
     builtin_kernel,
@@ -25,7 +27,7 @@ from urnova.errors import (
     NonNumericAlphabet,
     UnknownSymbol,
 )
-from helpers import random_kernel
+from helpers import random_kernel, urn_models
 
 NUMERIC = [("a", F(1, 2)), ("b", 3), ("c", F(5, 2))]
 
@@ -227,6 +229,30 @@ class TestMaxClosedForms:
         for z in m.alphabet.labels:
             assert (max_cond_closed_form(m, 3, 1, (z,))
                     == cond_expectation(m, top, (z,)))
+
+    @given(model=urn_models(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_level_matches_oracle(self, model, data):
+        horizon = data.draw(st.integers(1, model.length))
+        top = builtin_kernel(model.alphabet, horizon, "max")
+        assert max_mean_closed_form(model, horizon) == expectation(model, top)
+        for level in range(horizon + 1):
+            for ms in model.support_multisets(level):
+                args = data.draw(st.permutations(ms))
+                assert (max_cond_closed_form(model, horizon, level, args)
+                        == cond_expectation(model, top, args))
+
+    def test_horizon_below_one_is_refused(self):
+        m = numeric_model()
+        for horizon in (0, -1):
+            with pytest.raises(ArityMismatch):
+                max_mean_closed_form(m, horizon)
+            with pytest.raises(ArityMismatch):
+                max_cond_closed_form(m, horizon, 0, ())
+        with pytest.raises(ArityMismatch):
+            max_cond_closed_form(m, 2, 3, ("a", "b", "c"))
+        with pytest.raises(ArityMismatch):
+            max_cond_closed_form(m, 3, 2, ("a",))
 
     def test_requires_numeric_values(self):
         m = urn_model(["a", "b"], {"a": 1, "b": 1}, 1, 4)

@@ -1,0 +1,83 @@
+"""Library refusals that no other test reaches: each call must raise the
+named exception class with a message holding the fragment."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from urnova import builtin_kernel, urn_model, ustatistic
+from urnova.coefficients import gamma_coeff, pair_covariance_factor, phi_coeff, psi_coeff
+from urnova.conditional import cond_expectation, symmetrized_offdiagonal
+from urnova.decomposition import (
+    decompose,
+    degenerate_cov,
+    project_level,
+    wor_level_variance_printed,
+)
+from urnova.errors import (
+    ArityMismatch,
+    DegenerateAssumption,
+    IndexOutOfRange,
+    MissingMultiset,
+    NonNumericAlphabet,
+    UnknownSymbol,
+    ValidationError,
+    ZeroDenominator,
+)
+from urnova.models import Alphabet, Symbol, UrnModel
+from urnova.weak_copy import build_weak_copy
+from urnova.weak_independence import check_weak_independence
+
+MODEL = urn_model([("a", 0), ("b", 1)], {"a": 1, "b": 2}, 1, 4)
+MAX2 = builtin_kernel(MODEL.alphabet, 2, "max")
+MAX3 = builtin_kernel(MODEL.alphabet, 3, "max")
+
+REFUSALS = {
+    "gamma_coeff-pivot": (lambda: gamma_coeff(3, 1, F(-1, 3)),
+                          DegenerateAssumption, "pivot at (q=1, n=1) vanishes"),
+    "gamma_coeff-index": (lambda: gamma_coeff(3, 4, 1), ValueError, "bad level k=4"),
+    "phi_coeff-index": (lambda: phi_coeff(1, 2, 0, 0, 1, 1), ValueError, "bad indices"),
+    "psi_coeff-index": (lambda: psi_coeff(2, 0, 3, 1, 1, 1), ValueError, "bad indices"),
+    "pair_covariance_factor-index": (lambda: pair_covariance_factor(2, 3, 1),
+                                     ValueError, "bad overlap r=3"),
+    "cond_expectation-common": (lambda: cond_expectation(MODEL, MAX2, ("a", "b", "a")),
+                                ArityMismatch, "more common values"),
+    "symmetrized_offdiagonal-overlap": (lambda: symmetrized_offdiagonal(MODEL, MAX2, 2),
+                                        IndexOutOfRange, "overlap 2 outside 0..1"),
+    "reconstruction_value-length": (
+        lambda: decompose(MODEL, MAX2, 2).reconstruction_value(("a",)),
+        ArityMismatch, "need 2 labels"),
+    "decompose-arity": (lambda: decompose(MODEL, MAX2, 3),
+                        ArityMismatch, "arity must equal the horizon"),
+    "project_level-arity": (lambda: project_level(MODEL, MAX2, 3, 1),
+                            ArityMismatch, "arity must equal the horizon"),
+    "degenerate_cov-arity": (lambda: degenerate_cov(MODEL, MAX2, MAX3, 1),
+                             ArityMismatch, "share an arity"),
+    "wor_level_variance_printed-level": (lambda: wor_level_variance_printed(5, 2, 3, 1),
+                                         ZeroDenominator, "vanishing binomial"),
+    "indicator-without-target": (lambda: builtin_kernel(MODEL.alphabet, 2, "indicator"),
+                                 MissingMultiset, "needs a target"),
+    "indicator-size": (lambda: builtin_kernel(MODEL.alphabet, 2, "indicator", ("a",)),
+                       ArityMismatch, "target has size 1, requested arity 2"),
+    "unknown-builtin": (lambda: builtin_kernel(MODEL.alphabet, 2, "median"),
+                        ValueError, "unknown builtin kernel 'median'"),
+    "ustatistic-size": (lambda: ustatistic(MAX3, 2), ArityMismatch, "below kernel arity"),
+    "Alphabet.value": (lambda: Alphabet((Symbol("a"),)).value("a"),
+                       NonNumericAlphabet, "'a' has no numeric value"),
+    "UrnModel-alpha": (lambda: UrnModel(MODEL.alphabet, (("a", F(1)),), F(1), 3),
+                       ValidationError, "alpha must assign a weight to every symbol"),
+    "alpha_of": (lambda: MODEL.alpha_of("z"), UnknownSymbol, "unknown symbol 'z'"),
+    "build_weak_copy-seed-arity": (lambda: build_weak_copy(MODEL, 1, MAX3, F(1, 2)),
+                                   ArityMismatch, "seed statistic must have arity 2"),
+    "check_weak_independence-level": (lambda: check_weak_independence(MODEL, 0),
+                                      ValidationError, "level must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal(name):
+    call, exception, fragment = REFUSALS[name]
+    with pytest.raises(exception) as refusal:
+        call()
+    assert type(refusal.value) is exception
+    assert fragment in str(refusal.value)

@@ -284,8 +284,10 @@ class TestTiltedLaw:
             with pytest.raises(ValidationError) as refusal:
                 tilted.extension_law(observed, 1)
             assert repr(observed) in str(refusal.value)
-        # the urn's closed form still conditions on z
-        assert tilted.base.predictive(("z",)) == {"a": F(2, 5), "b": F(1, 5), "z": F(2, 5)}
+        # the urn's closed form refuses the same observation
+        with pytest.raises(ValidationError,
+                           match=r"cannot condition on \('z',\): it has probability zero"):
+            tilted.base.predictive(("z",))
 
     def test_constant_tilt_stays_unnormalized(self):
         base = polya01()
