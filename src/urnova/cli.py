@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -33,6 +32,7 @@ from .models import (
     MixtureModel,
     RNG_ALGORITHM,
     UrnModel,
+    as_fraction,
     check_horizon,
     urn_model,
 )
@@ -54,19 +54,13 @@ EXIT_CODES = {
 }
 
 
-# a rational is an int, or an optional sign, digits and optionally /digits;
-# checked first, as Fraction("1e5000") builds a 5001-digit integer
-RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-
-
 def rational(value) -> Fraction:
-    """A flag's or a document's rational, as a Fraction."""
-    if type(value) is int or isinstance(value, str) and RATIONAL_TEXT.fullmatch(value):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):  # p/0, or digits past the interpreter's limit
-            pass
-    raise argparse.ArgumentTypeError(f"not a rational: {value!r}")
+    """A flag's or a document's rational, as a Fraction: an int or a
+    RATIONAL_TEXT string, read by the library's as_fraction."""
+    try:
+        return as_fraction(value)
+    except ValidationError:
+        raise argparse.ArgumentTypeError(f"not a rational: {value!r}") from None
 
 
 def _rational(value, where: str) -> Fraction:

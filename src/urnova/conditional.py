@@ -36,9 +36,6 @@ def cond_expectation(model, statistic: SymmetricKernel, common, extra=()) -> Fra
     if draws < 0:
         raise ArityMismatch("more common values than the statistic has arguments")
     check_horizon(model, statistic.arity + len(extra))
-    if draws == 0:
-        # fully determined; further conditioning cannot move a constant
-        return statistic.value(common)
     observed = model.alphabet.canon(common + extra)
     total = Fraction(0)
     for ext, weight in model.extension_law(observed, draws).items():
@@ -61,8 +58,17 @@ class DiagonalFamily(Record, namedtuple("DiagonalFamily", "model statistic nums 
                      for level, den in zip(self.nums, self.dens))
 
     def value(self, labels) -> Fraction:
+        """The level-len(labels) conditional at the observed labels; an
+        observation of probability zero (off the support) is refused by the
+        law primitive."""
         key = self.model.alphabet.canon(labels)
-        return Fraction(self.nums[len(key)][key], self.dens[len(key)])
+        q = len(key)
+        if q > self.statistic.arity:
+            raise ArityMismatch(f"diagonal family of arity {self.statistic.arity} "
+                                f"evaluated on {q} labels")
+        if key not in self.nums[q]:  # off the support: the primitive refuses it
+            self.model.extension_law(key, 0)
+        return Fraction(self.nums[q][key], self.dens[q])
 
     @property
     def mean(self) -> Fraction:
@@ -176,11 +182,16 @@ def nested_conditional_at(model, statistic: SymmetricKernel, block, observed_blo
 
     ``block`` is the m-tuple of coordinates the diagonal conditional sits
     on, ``observed_block`` the n-tuple being conditioned on, ``values`` the
-    observed values parallel to ``observed_block``.  Canonicalizes to the
-    overlap form.
+    n observed values parallel to ``observed_block``; coordinates lie in
+    1..M and each tuple has distinct entries.  Canonicalizes to the overlap
+    form.
     """
     block = tuple(block)
     observed_block = tuple(observed_block)
+    values = tuple(values)
+    if len(values) != len(observed_block):
+        raise ArityMismatch(f"{len(values)} values for an observed block of "
+                            f"{len(observed_block)} coordinates")
     M = statistic.arity
     for idx in (*block, *observed_block):
         if not (1 <= idx <= M):

@@ -9,17 +9,12 @@ the linear algebra on kernels (null spaces, projections) direct.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .combinatorics import (
-    binomial,
-    permutation_count,
-    prod,
-    subset_sums,
-)
+from .combinatorics import prod, subset_sums
 from .errors import (
     ArityMismatch,
     DuplicateMultiset,
@@ -199,34 +194,6 @@ def expectation(model, kernel: SymmetricKernel) -> Fraction:
 
 # -- closed forms for the maximum of a real-valued urn sequence ---------------
 
-def _raw_max_integral(model, free: int, fixed_values) -> Fraction:
-    """Integral of max(x_1..x_free, fixed...) against the product of the
-    normalized weights alpha_a/alpha(A), which is the law of free draws
-    only when c = 0."""
-    alphabet = model.alphabet
-    total = Fraction(0)
-    for ms in alphabet.multisets(free):
-        weight = prod(model.alpha_of(label) / model.alpha_total for label in ms)
-        if weight == 0:
-            continue
-        weight *= permutation_count(ms)
-        values = [alphabet.value(label) for label in ms]
-        total += weight * max(list(fixed_values) + values)
-    return total
-
-
-def _tie_constants(rate, draws: int, occupied: int):
-    """Coefficients rate^k e_k(1..draws-1) / prod of denominators for a run
-    of `draws` extractions whose measure already carries `occupied`
-    increments, at unit total weight; a run of no draws has the one
-    coefficient 1."""
-    den = prod(1 + rate * (occupied + t - 1) for t in range(1, draws + 1))
-    e = [1]  # e_k(1..draws-1) is the x^k coefficient of prod_{t < draws} (1 + t x)
-    for t in range(1, draws):
-        e = [a + t * b for a, b in zip(e + [0], [0] + e)]
-    return [rate**k * e_k / den for k, e_k in enumerate(e)]
-
-
 def max_mean_closed_form(model, horizon: int) -> Fraction:
     """E[max of the first `horizon` draws] without enumerating sequences:
     the conditional closed form at level 0."""
@@ -236,36 +203,37 @@ def max_mean_closed_form(model, horizon: int) -> Fraction:
 def max_cond_closed_form(model, horizon: int, level: int, args) -> Fraction:
     """Conditional expectation of the maximum of the first `horizon` draws
     given the first `level` of them, the values `args`, for every level
-    from 0 to the horizon.
-
-    Ties between draws collapse the maximum onto fewer fresh coordinates;
-    the tie pattern count gives elementary symmetric sums and the fresh
-    coordinates integrate against products of normalized weights.
-    Conditioning shortens the run to horizon - level draws and adds one
-    weight increment per observed value; expanding the shifted measure
-    yields binomially weighted raw integrals with the observed values glued
-    into the max.
+    from 0 to the horizon, read off the lumped urn: max <= v exactly when
+    every draw lands in S_v = {a : value(a) <= v}, and lumping S_v and its
+    complement leaves an urn with the same c.  With p_S = alpha(S)/alpha(A),
+    rate = c/alpha(A), n_S the observed draws in S and f = horizon - level,
+    P(max <= v | args) = [max(args) <= v] *
+    prod_{t<f} (p_S + rate (n_S + t)) / (1 + rate (level + t)),
+    and the expectation sums v times the jumps of this law.  An observation
+    of probability zero is refused by the law primitive.
     """
     if len(args) != level:
         raise ArityMismatch(f"level {level} needs exactly {level} arguments")
     if horizon < max(level, 1):
         raise ArityMismatch(f"horizon {horizon} must be at least 1 and at least the level {level}")
     check_horizon(model, horizon)
-    if not model.alphabet.is_numeric():
+    alphabet = model.alphabet
+    if not alphabet.is_numeric():
         raise NonNumericAlphabet("max needs numeric symbol values")
-    values = [model.alphabet.value(label) for label in args]
-    free = horizon - level
     rate = model.rate
-    coeffs = _tie_constants(rate, free, occupied=level)
-    total = Fraction(0)
-    for k, n_k in enumerate(coeffs):
-        if n_k == 0:
-            continue
-        inner = Fraction(0)
-        for j in range(free - k + 1):
-            atom = (level * rate) ** (free - k - j)
-            if atom == 0:
-                continue
-            inner += binomial(free - k, j) * atom * _raw_max_integral(model, j, values)
-        total += n_k * inner
+    seen = Counter(args)
+    floor = max((alphabet.value(label) for label in args), default=None)
+    model.extension_law(args, 0)
+    free = horizon - level
+    den = prod(1 + rate * (level + t) for t in range(free))
+    total = below = mass = count = Fraction(0)
+    for v, letters in itertools.groupby(sorted(alphabet.labels, key=alphabet.value),
+                                        key=alphabet.value):
+        for label in letters:
+            mass += model.alpha_of(label) / model.alpha_total
+            count += seen[label]
+        if floor is None or floor <= v:
+            law = prod(mass + rate * (count + t) for t in range(free)) / den
+            total += v * (law - below)
+            below = law
     return total

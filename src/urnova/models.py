@@ -18,6 +18,7 @@ dictionary and take no part in equality or hashing.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -39,13 +40,23 @@ from .errors import (
 RNG_ALGORITHM = "mt19937-cdf64"
 
 
+# a rational in text is an optional sign, digits and optionally /digits;
+# checked first, as Fraction("1e5000") builds a 5001-digit integer
+RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def as_fraction(value) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to Fraction; a bool is an
-    int but not a rational."""
+    """Coerce Fractions, ints and RATIONAL_TEXT strings to Fraction; a bool
+    is an int but not a rational, and p/0 or digits past the interpreter's
+    limit are refused like any other form."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
+    if (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, str) and RATIONAL_TEXT.fullmatch(value)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ValidationError(f"not an exact rational: {value!r}")
 
 

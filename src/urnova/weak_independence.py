@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .combinatorics import binomial, integer_numerators
 from .conditional import diagonal_family
-from .errors import LengthExceeded, ValidationError
+from .errors import IndexOutOfRange, LengthExceeded, ValidationError
 from .kernels import SymmetricKernel, from_table
 from .linalg import nullspace
 from .models import MixtureModel, check_horizon
@@ -80,9 +80,9 @@ class DegeneracyReport(NamedTuple):
 
 
 def offdiagonal_functional(model, observed, overlap: int) -> tuple:
-    """The overlap-r symmetrized conditional at one canonical observed
-    (n-1)-multiset, as a linear functional on arity-n kernels: integer
-    weights over the size-n multisets in canonical order, and one
+    """The overlap-r symmetrized conditional, 0 <= r <= n - 1, at one
+    observed (n-1)-multiset, as a linear functional on arity-n kernels:
+    integer weights over the size-n multisets in canonical order, and one
     denominator.
 
     Every block assignment of the observed values conditions on the same
@@ -91,7 +91,10 @@ def offdiagonal_functional(model, observed, overlap: int) -> tuple:
     values are merged with their multiplicity.
     """
     alphabet = model.alphabet
+    observed = alphabet.canon(observed)
     n = len(observed) + 1
+    if not (0 <= overlap <= n - 1):
+        raise IndexOutOfRange(f"overlap {overlap} outside 0..{n - 1}")
     check_horizon(model, 2 * n - overlap - 1)
     column = {ms: i for i, ms in enumerate(alphabet.multisets(n))}
     weights, den = model._build_size_law(n - overlap, observed)

@@ -1,10 +1,10 @@
 """Shared test utilities: seeded random kernels, a grid of models covering
 every replacement regime, independent projection oracles (Gram matrix,
-i.i.d. inclusion-exclusion) used to cross-check the decomposition, a
-rational RREF for the null spaces, the sub-multiset enumerator for sums
-over positions-subsets, a step-by-step reference for the sampling stream,
-and a hypothesis strategy of numeric urn models over every replacement
-regime."""
+i.i.d. inclusion-exclusion) used to cross-check the decomposition, an
+i.i.d. enumeration of the maximum, a rational RREF for the null spaces,
+the sub-multiset enumerator for sums over positions-subsets, a step-by-step
+reference for the sampling stream, and a hypothesis strategy of numeric urn
+models over every replacement regime."""
 
 import random
 from collections import Counter
@@ -219,6 +219,22 @@ def iid_level_kernels(model, statistic):
             entries.append((ms, value))
         kernels.append(from_table(model.alphabet, s, dict(entries)))
     return kernels
+
+
+def iid_max_integral(model, free, fixed_values):
+    """Integral of max(x_1..x_free, fixed...) against the product of the
+    normalized weights alpha_a/alpha(A), which is the law of free draws
+    only when c = 0."""
+    alphabet = model.alphabet
+    total = F(0)
+    for ms in alphabet.multisets(free):
+        weight = prod(model.alpha_of(label) / model.alpha_total for label in ms)
+        if weight == 0:
+            continue
+        weight *= permutation_count(ms)
+        values = [alphabet.value(label) for label in ms]
+        total += weight * max(list(fixed_values) + values)
+    return total
 
 
 def sub_multisets(ms, k, top=None):

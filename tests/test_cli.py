@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import urnova
 from urnova import (
     Alphabet,
     Symbol,
@@ -1011,6 +1012,15 @@ class TestStartup:
                                text=True, env=dict(os.environ, PYTHONPATH=src)).stdout.split()
         assert "urnova.cli" in added
         assert "dataclasses" not in added and "inspect" not in added
+
+
+class TestVersion:
+    def test_package_version_matches_pyproject(self):
+        # every CSV's #meta tool_version reads urnova.__version__; the
+        # project file is parsed with re, as tomllib is new in Python 3.11
+        text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+        assert re.search(r'^version = "([^"]*)"$', project, re.M).group(1) == urnova.__version__
 
 
 class TestClosedStdout:

@@ -16,6 +16,7 @@ from urnova import (
     expectation,
     from_table,
     indicator_kernel,
+    max_cond_closed_form,
     nested_conditional,
     nested_conditional_at,
     nested_conditional_sum,
@@ -334,6 +335,30 @@ class TestImpossibleObservation:
             lambda: expand_conditional(model, k, observed, ()),
             lambda: nested_conditional(model, k, 1, 0, observed),
             lambda: nested_conditional_sum(model, k, 1, observed),
+        ]
+        for route in routes:
+            with pytest.raises(ValidationError) as refusal:
+                route()
+            assert str(refusal.value) == (f"cannot condition on {observed!r}: "
+                                          "it has probability zero")
+
+    @pytest.mark.parametrize("alpha, c, observed", [
+        ({"a": 1, "b": F(1, 2), "z": 0}, 1, ("z",)),
+        ({"a": 1, "b": F(1, 2), "z": 0}, 1, ("a", "z")),
+        ({"a": 1, "b": F(1, 2), "z": 0}, 0, ("z",)),
+        ({"a": 1, "b": 2, "z": 0}, -1, ("z",)),
+        ({"a": 1, "b": 2, "z": 1}, -1, ("a", "a")),
+        ({"a": 1, "b": 1, "z": F(1, 2)}, F(-1, 2), ("z", "z")),
+    ])
+    def test_refused_with_every_argument_observed(self, alpha, c, observed):
+        # no draw is left to the law, yet the observation is still refused
+        model = urn_model([("a", 0), ("b", 1), ("z", 2)], alpha, c, 3)
+        k = random_kernel(random.Random(81), model.alphabet, len(observed))
+        routes = [
+            lambda: cond_expectation(model, k, observed),
+            lambda: diagonal_family(model, k).value(observed),
+            lambda: max_cond_closed_form(model, 3, len(observed), observed),
+            lambda: max_cond_closed_form(model, len(observed), len(observed), observed),
         ]
         for route in routes:
             with pytest.raises(ValidationError) as refusal:

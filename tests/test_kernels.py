@@ -27,7 +27,7 @@ from urnova.errors import (
     NonNumericAlphabet,
     UnknownSymbol,
 )
-from helpers import random_kernel, urn_models
+from helpers import iid_max_integral, random_kernel, urn_models
 
 NUMERIC = [("a", F(1, 2)), ("b", 3), ("c", F(5, 2))]
 
@@ -205,17 +205,15 @@ class TestMaxClosedForms:
     def test_iid_unit_mass_reduces_to_single_integrals(self):
         # with c = 0 and unit total mass the conditionals collapse to one
         # raw integral over the remaining coordinates
-        from urnova.kernels import _raw_max_integral
-
         m = urn_model(NUMERIC, {"a": F(1, 4), "b": F(1, 4), "c": F(1, 2)}, 0, 6)
         M = 4
         for z in m.alphabet.labels:
             assert (max_cond_closed_form(m, M, 1, (z,))
-                    == _raw_max_integral(m, M - 1, [m.alphabet.value(z)]))
+                    == iid_max_integral(m, M - 1, [m.alphabet.value(z)]))
         for pair in product(m.alphabet.labels, repeat=2):
             fixed = [m.alphabet.value(l) for l in pair]
             assert (max_cond_closed_form(m, M, 2, pair)
-                    == _raw_max_integral(m, M - 2, fixed))
+                    == iid_max_integral(m, M - 2, fixed))
 
     def test_dominating_value_is_fixed_point(self):
         m = numeric_model()
@@ -241,6 +239,22 @@ class TestMaxClosedForms:
                 args = data.draw(st.permutations(ms))
                 assert (max_cond_closed_form(model, horizon, level, args)
                         == cond_expectation(model, top, args))
+
+    @pytest.mark.parametrize("c, weights", [
+        (F(1, 2), (1, 2, 0, F(1, 2), F(3, 2), 1)),
+        (F(0), (1, 2, 0, F(1, 2), F(3, 2), 1)),
+        (F(-1), (2, 2, 0, 1, 3, 2)),
+        (F(-1, 2), (1, F(1, 2), 0, F(3, 2), 1, F(1, 2))),
+    ])
+    def test_scale_matches_oracle(self, c, weights):
+        # six letters with two pairs of tied values and one zero weight
+        symbols = [("u", 0), ("v", 1), ("w", 1), ("x", 2), ("y", 3), ("z", 3)]
+        model = urn_model(symbols, dict(zip("uvwxyz", weights)), c, 8)
+        top = builtin_kernel(model.alphabet, 8, "max")
+        for level in range(3):
+            for ms in model.support_multisets(level):
+                assert (max_cond_closed_form(model, 8, level, ms[::-1])
+                        == cond_expectation(model, top, ms[::-1]))
 
     def test_horizon_below_one_is_refused(self):
         m = numeric_model()

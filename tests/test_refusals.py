@@ -5,9 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from urnova import builtin_kernel, urn_model, ustatistic
+from urnova import as_fraction, builtin_kernel, diagonal_family, urn_model, ustatistic
 from urnova.coefficients import gamma_coeff, pair_covariance_factor, phi_coeff, psi_coeff
-from urnova.conditional import cond_expectation, symmetrized_offdiagonal
+from urnova.conditional import cond_expectation, nested_conditional_at, symmetrized_offdiagonal
 from urnova.decomposition import (
     decompose,
     degenerate_cov,
@@ -26,7 +26,7 @@ from urnova.errors import (
 )
 from urnova.models import Alphabet, Symbol, UrnModel
 from urnova.weak_copy import build_weak_copy
-from urnova.weak_independence import check_weak_independence
+from urnova.weak_independence import check_weak_independence, offdiagonal_functional
 
 MODEL = urn_model([("a", 0), ("b", 1)], {"a": 1, "b": 2}, 1, 4)
 MAX2 = builtin_kernel(MODEL.alphabet, 2, "max")
@@ -71,6 +71,23 @@ REFUSALS = {
                                    ArityMismatch, "seed statistic must have arity 2"),
     "check_weak_independence-level": (lambda: check_weak_independence(MODEL, 0),
                                       ValidationError, "level must be at least 1"),
+    "offdiagonal_functional-symbol": (lambda: offdiagonal_functional(MODEL, ("q",), 0),
+                                      UnknownSymbol, "unknown symbol 'q'"),
+    "offdiagonal_functional-overlap-high": (lambda: offdiagonal_functional(MODEL, ("a",), 2),
+                                            IndexOutOfRange, "overlap 2 outside 0..1"),
+    "offdiagonal_functional-overlap-low": (lambda: offdiagonal_functional(MODEL, ("a",), -1),
+                                           IndexOutOfRange, "overlap -1 outside 0..1"),
+    "nested_conditional_at-values": (
+        lambda: nested_conditional_at(MODEL, MAX2, (1,), (2,), ("a", "b")),
+        ArityMismatch, "2 values for an observed block of 1 coordinates"),
+    "DiagonalFamily.value-arity": (lambda: diagonal_family(MODEL, MAX2).value(("a", "b", "a")),
+                                   ArityMismatch, "arity 2 evaluated on 3 labels"),
+    "as_fraction-zero-denominator": (lambda: as_fraction("1/0"),
+                                     ValidationError, "not an exact rational: '1/0'"),
+    "as_fraction-decimal": (lambda: as_fraction("0.5"),
+                            ValidationError, "not an exact rational: '0.5'"),
+    "as_fraction-exponent": (lambda: as_fraction("1e50"),
+                             ValidationError, "not an exact rational: '1e50'"),
 }
 
 
