@@ -8,8 +8,12 @@ Exit codes by error category: 0 success, 2 parse, 3 validation, 4 horizon,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import marshal
+import os
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -26,7 +30,7 @@ from .decomposition import (
     wor_level_variance_printed,
 )
 from .errors import (ArityMismatch, IoError, ParseError, UnknownSymbol, UrnovaError,
-                     ValidationError)
+                     ValidationError, WorkerFailed)
 from .kernels import BUILTIN_KERNELS, SymmetricKernel, builtin_kernel, expectation, from_table
 from .models import (
     MixtureModel,
@@ -34,6 +38,7 @@ from .models import (
     UrnModel,
     as_fraction,
     check_horizon,
+    shown,
     urn_model,
 )
 from .report import Report, param_hash, render_csv
@@ -60,14 +65,14 @@ def rational(value) -> Fraction:
     try:
         return as_fraction(value)
     except ValidationError:
-        raise argparse.ArgumentTypeError(f"not a rational: {value!r}") from None
+        raise argparse.ArgumentTypeError(f"not a rational: {shown(value)}") from None
 
 
 def _rational(value, where: str) -> Fraction:
     try:
         return rational(value)
-    except argparse.ArgumentTypeError:
-        raise ParseError(f"{where}: not a rational: {value!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _load_json(path):
@@ -191,6 +196,20 @@ def kernel_to_json(kernel: SymmetricKernel) -> dict:
     return {"arity": kernel.arity, "entries": entries}
 
 
+def kernel_json_text(kernel: SymmetricKernel) -> str:
+    """``json.dumps(kernel_to_json(kernel), indent=1, sort_keys=True)``,
+    written directly for the fixed schema: with an indent the stdlib
+    encodes in pure Python."""
+    quote = json.encoder.encode_basestring_ascii
+    entries = []
+    for ms, v in kernel.entries:
+        counts = ",\n    ".join(f"{quote(label)}: {k}" for label, k in sorted(Counter(ms).items()))
+        multiset = f"{{\n    {counts}\n   }}" if counts else "{}"
+        entries.append(f'  {{\n   "multiset": {multiset},\n   "value": {quote(str(v))}\n  }}')
+    body = "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
+    return f'{{\n "arity": {kernel.arity},\n "entries": {body}\n}}'
+
+
 def _meta(args, *inputs, **extra):
     # the hash covers what the run computes: the command, its own flag
     # values and the parsed inputs; no path (input file or --out) is hashed
@@ -261,10 +280,91 @@ def cmd_sample(args):
     n = args.M or model.length
     check_horizon(model, n, f"{args.model}: --M {n}")
     rep = Report(_meta(args, model), ["index", "sequence"])
-    for i in range(args.count):
-        seq = model.sample(n, seed=args.seed + i)
-        rep.add(index=i, sequence=" ".join(seq))
+
+    def rows(start, stop):
+        return [" ".join(model.sample(n, args.seed + i)) for i in range(start, stop)]
+
+    for i, sequence in enumerate(forked_rows(rows, args.count)):
+        rep.add(index=i, sequence=sequence)
     return rep
+
+
+ROWS_PER_WORKER = 1000  # a fork and its waitpid (about 2 ms) stay a small share of a block
+
+
+def _worker_count(count: int) -> int:
+    """One process per usable CPU, with at least ROWS_PER_WORKER rows each;
+    one where fork is missing or unsafe (in a process with threads)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, count // ROWS_PER_WORKER))
+
+
+def forked_rows(compute, count: int) -> list:
+    """``compute(0, count)``, a list of str, computed in contiguous blocks:
+    the first by this process and each other by a forked worker, which
+    sends its list back marshalled through a pipe.  ``compute(start, stop)``
+    must give the rows start..stop-1 whatever the blocks are.  The call
+    raises WorkerFailed when a worker fails, and no worker outlives it."""
+    workers = _worker_count(count)
+    if workers == 1:
+        return compute(0, count)
+    bounds = [count * j // workers for j in range(workers + 1)]
+    running = []  # (pid, pipe, start, stop) of each worker not yet reaped
+    try:
+        # frozen objects are skipped by a worker's collections, which then
+        # leave the pages it shares with this process unwritten
+        gc.freeze()
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _worker(compute, start, stop, write)
+                except OSError:
+                    os.close(read)
+                    raise
+                finally:  # in this process only: a worker never returns
+                    os.close(write)
+                running.append((pid, open(read, "rb"), start, stop))
+        finally:
+            gc.unfreeze()
+        rows = compute(bounds[0], bounds[1])
+        while running:
+            pid, pipe, start, stop = running[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[0]
+            if code:
+                raise WorkerFailed(f"the worker of rows {start} to {stop - 1} exited with {code}")
+            rows += marshal.loads(data)
+        return rows
+    finally:
+        for pid, pipe, _, _ in running:
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+
+
+def _worker(compute, start, stop, write):
+    """A forked worker's whole life: write ``compute(start, stop)``
+    marshalled to the pipe end ``write`` and exit, running no exit handler
+    and flushing no stdio buffer it inherited."""
+    try:
+        with open(write, "wb") as pipe:
+            pipe.write(marshal.dumps(compute(start, stop)))
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+        code = 1
+    os._exit(code)
 
 
 def cmd_coeffs(args):
@@ -312,7 +412,7 @@ def cmd_decompose(args):
             side = f"{args.out}.level{s}.json"
             try:
                 with open(side, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(kernel_to_json(kernel), indent=1, sort_keys=True))
+                    fh.write(kernel_json_text(kernel))
             except OSError as exc:
                 raise IoError(f"cannot write {side}: {exc}") from exc
     return rep

@@ -1,7 +1,8 @@
 """Exception taxonomy.
 
 Every error carries a ``category`` used by the CLI to pick an exit code:
-validation, parse, horizon, degenerate-assumption, io.
+validation, parse, horizon, degenerate-assumption, io; any other category,
+such as worker, exits 1.
 """
 
 
@@ -23,6 +24,12 @@ class HorizonError(UrnovaError):
 
 class IoError(UrnovaError):
     category = "io"
+
+
+class WorkerFailed(UrnovaError):
+    """A worker process exited nonzero, after writing its traceback to stderr."""
+
+    category = "worker"
 
 
 class DegenerateAssumption(UrnovaError):

@@ -57,7 +57,14 @@ def as_fraction(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValidationError(f"not an exact rational: {value!r}")
+    raise ValidationError(f"not an exact rational: {shown(value)}")
+
+
+def shown(value) -> str:
+    """The repr of a refused value for an error message: its first 40
+    characters and the length of the whole when it is longer."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 class Record:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import itertools
 import json
@@ -7,17 +8,19 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import urnova
 from urnova import (
     Alphabet,
     Symbol,
+    SymmetricKernel,
     UrnModel,
     build_weak_copy,
     builtin_kernel,
@@ -42,7 +45,8 @@ from urnova.decomposition import (
     project_level,
     wor_level_variance_derived,
 )
-from urnova.cli import COMMANDS, kernel_to_json, main, parse_kernel_file, parse_model_file
+from urnova.cli import (COMMANDS, kernel_json_text, kernel_to_json, main, parse_kernel_file,
+                        parse_model_file)
 from urnova.errors import ExhaustedUrn, ParseError, ValidationError
 from urnova.report import Report, format_decimal, render_csv
 from urnova.weak_copy import dirichlet_moment
@@ -107,6 +111,30 @@ class TestKernelRoundTrip:
         with pytest.raises(ParseError):
             parse_kernel_file(path, model)
         assert parse_kernel_file(path, model, 3).arity == 3
+
+
+def sidecar_alphabet(*labels):
+    return Alphabet(tuple(Symbol(label) for label in labels))
+
+
+@st.composite
+def sidecar_kernels(draw):
+    labels = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+    arity = draw(st.integers(0, 3))
+    multiset = st.lists(st.sampled_from(labels), min_size=arity, max_size=arity).map(tuple)
+    entries = draw(st.lists(st.tuples(multiset, st.fractions()), max_size=4))
+    return SymmetricKernel(arity, sidecar_alphabet(*labels), tuple(entries))
+
+
+class TestSidecarText:
+    @given(kernel=sidecar_kernels())
+    @example(kernel=SymmetricKernel(2, sidecar_alphabet("a"), ()))
+    @example(kernel=SymmetricKernel(0, sidecar_alphabet("a"), (((), F(1, 2)),)))
+    @example(kernel=SymmetricKernel(2, sidecar_alphabet('q"', "b\\", "\u00e9"), (
+        (('q"', "\u00e9"), F(-3)), (("b\\", "b\\"), F(0)), (("\u00e9", "\u00e9"), F(7, 2)))))
+    def test_equals_json_dumps(self, kernel):
+        assert kernel_json_text(kernel) == json.dumps(kernel_to_json(kernel), indent=1,
+                                                      sort_keys=True)
 
 
 class TestReports:
@@ -986,6 +1014,12 @@ class TestRationalForms:
         assert capsys.readouterr().err == (
             f"error[parse]: {tmp_path / 'm.json'}: alpha['a']: not a rational: {text!r}\n")
 
+    def test_a_5000_digit_weight_is_cut_in_the_message(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", dict(polya_doc(), alpha={"a": "1" * 5000, "b": "1"}))
+        assert main(["validate", "--model", path]) == 2
+        assert capsys.readouterr().err == (f"error[parse]: {path}: alpha['a']: not a rational: '"
+                                           + "1" * 39 + "... (5002 characters)\n")
+
     def test_exponent_epsilon_in_a_document_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", {"epsilon": "1e-5000"})
         assert main(["validate", "--model", path]) == 2
@@ -1058,6 +1092,106 @@ class TestClosedStdout:
         child = self.spawn(tmp_path, ["validate"], write)
         os.close(write)
         self.check(child)
+
+
+class TestForkedSample:
+    """sample computes its rows in contiguous blocks, the first in the
+    command's own process and each other in a forked worker, with up to one
+    process per usable CPU and at least 1000 rows each; the CSV does not
+    depend on the blocks."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """Two usable CPUs whatever the host has; the list of forks made."""
+        if not hasattr(os, "fork"):
+            pytest.skip("this platform has no fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(None)
+            return fork()
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    def sample_lines(self, path, model, n, seed, count):
+        expected = [f"{i},{' '.join(model.sample(n, seed + i))}" for i in range(count)]
+        assert Path(path).read_text().splitlines()[2:] == expected
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_one_cpu_and_every_cpu_write_the_same_bytes(self, tmp_path):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        outputs = []
+        for pin in (lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}), None):
+            out = tmp_path / f"{len(outputs)}.csv"
+            subprocess.run([sys.executable, "-m", "urnova.cli", "sample", "--model", model,
+                            "--count", "2500", "--seed", "11", "--out", str(out)],
+                           env=env, preexec_fn=pin, check=True, timeout=60)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        self.sample_lines(tmp_path / "0.csv", parse_model_file(model), 8, 11, 2500)
+
+    @pytest.mark.parametrize("count, forks", [(1, 0), (1999, 0), (2000, 1), (2001, 1)])
+    def test_rows_are_the_model_draws(self, tmp_path, two_cpus, count, forks):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--model", model, "--M", "5", "--count", str(count),
+                     "--seed", "3", "--out", str(out)]) == 0
+        assert len(two_cpus) == forks
+        self.sample_lines(out, parse_model_file(model), 5, 3, count)
+
+    @pytest.mark.parametrize("flag", ["--M", "--count"])
+    def test_zero_exits_2(self, tmp_path, capsys, flag):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--model", model, "--seed", "1", flag, "0"])
+        assert exc.value.code == 2
+        assert f"{flag}: must be a positive integer, not '0'" in capsys.readouterr().err
+
+    def test_no_fork_beside_a_thread(self, tmp_path, two_cpus):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert main(["sample", "--model", model, "--count", "2000", "--seed", "3",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert two_cpus == []
+        self.sample_lines(tmp_path / "s.csv", parse_model_file(model), 8, 3, 2000)
+
+    # rows 0..999 are the command's own block, rows 1000..1999 the worker's
+    @pytest.mark.parametrize("row", [500, 1500], ids=["own-block", "worker-block"])
+    def test_a_failing_block_leaves_no_worker(self, tmp_path, capfd, monkeypatch, two_cpus,
+                                               row):
+        sample = UrnModel.sample
+
+        def failing(model, n, seed):
+            if seed == 3 + row:
+                raise RuntimeError("no draw")
+            return sample(model, n, seed)
+        monkeypatch.setattr(UrnModel, "sample", failing)
+        model = write_json(tmp_path / "m.json", polya_doc())
+        out = tmp_path / "s.csv"
+        argv = ["sample", "--model", model, "--count", "2000", "--seed", "3", "--out", str(out)]
+        frozen = gc.get_freeze_count()
+        if row < 1000:
+            with pytest.raises(RuntimeError, match="no draw"):
+                main(argv)
+        else:
+            assert main(argv) == 1
+            err = capfd.readouterr().err
+            assert "RuntimeError: no draw" in err  # the worker's traceback
+            assert err.endswith("error[worker]: the worker of rows 1000 to 1999 exited with 1\n")
+        assert len(two_cpus) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert gc.get_freeze_count() == frozen
+        assert not out.exists()
 
 
 class TestZhaoChenFlags:

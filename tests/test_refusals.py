@@ -98,3 +98,9 @@ def test_refusal(name):
         call()
     assert type(refusal.value) is exception
     assert fragment in str(refusal.value)
+
+
+def test_a_long_refused_value_is_cut_in_the_message():
+    with pytest.raises(ValidationError) as refusal:
+        as_fraction("1" * 5000)
+    assert str(refusal.value) == "not an exact rational: '" + "1" * 39 + "... (5002 characters)"
