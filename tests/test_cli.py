@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -1164,7 +1165,9 @@ class TestForkedSample:
         assert two_cpus == []
         self.sample_lines(tmp_path / "s.csv", parse_model_file(model), 8, 3, 2000)
 
-    # rows 0..999 are the command's own block, rows 1000..1999 the worker's
+    # rows 0..999 are the command's own block, rows 1000..1999 the worker's;
+    # when its own block fails, the command must stop a worker that would
+    # otherwise run for a minute
     @pytest.mark.parametrize("row", [500, 1500], ids=["own-block", "worker-block"])
     def test_a_failing_block_leaves_no_worker(self, tmp_path, capfd, monkeypatch, two_cpus,
                                                row):
@@ -1173,6 +1176,8 @@ class TestForkedSample:
         def failing(model, n, seed):
             if seed == 3 + row:
                 raise RuntimeError("no draw")
+            if row < 1000 and seed == 3 + 1000:
+                time.sleep(60)
             return sample(model, n, seed)
         monkeypatch.setattr(UrnModel, "sample", failing)
         model = write_json(tmp_path / "m.json", polya_doc())
@@ -1180,8 +1185,10 @@ class TestForkedSample:
         argv = ["sample", "--model", model, "--count", "2000", "--seed", "3", "--out", str(out)]
         frozen = gc.get_freeze_count()
         if row < 1000:
+            start = time.monotonic()
             with pytest.raises(RuntimeError, match="no draw"):
                 main(argv)
+            assert time.monotonic() - start < 30
         else:
             assert main(argv) == 1
             err = capfd.readouterr().err

@@ -100,7 +100,13 @@ def test_refusal(name):
     assert fragment in str(refusal.value)
 
 
-def test_a_long_refused_value_is_cut_in_the_message():
+# a repr of up to 40 characters is shown whole
+@pytest.mark.parametrize("value, shown", [
+    ("x" * 38, "'" + "x" * 38 + "'"),
+    ("x" * 39, "'" + "x" * 39 + "... (41 characters)"),
+    ("1" * 5000, "'" + "1" * 39 + "... (5002 characters)"),
+])
+def test_a_long_refused_value_is_cut_in_the_message(value, shown):
     with pytest.raises(ValidationError) as refusal:
-        as_fraction("1" * 5000)
-    assert str(refusal.value) == "not an exact rational: '" + "1" * 39 + "... (5002 characters)"
+        as_fraction(value)
+    assert str(refusal.value) == f"not an exact rational: {shown}"
