@@ -8,7 +8,6 @@ Exit codes by error category: 0 success, 2 parse, 3 validation, 4 horizon,
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import marshal
 import os
@@ -95,30 +94,30 @@ def parse_model_file(path):
         return MixtureModel(_rational(doc["epsilon"], f"{path}: epsilon"))
     for key in ("symbols", "alpha", "c", "length"):
         if key not in doc:
-            raise ParseError(f"{path}: missing field {key!r}")
+            raise ParseError(f"{path}: missing field {shown(key)}")
     if not isinstance(doc["symbols"], list):
-        raise ParseError(f"{path}: symbols must be a list, not {doc['symbols']!r}")
+        raise ParseError(f"{path}: symbols must be a list, not {shown(doc['symbols'])}")
     if not isinstance(doc["alpha"], dict):
-        raise ParseError(f"{path}: alpha must map labels to weights, not {doc['alpha']!r}")
+        raise ParseError(f"{path}: alpha must map labels to weights, not {shown(doc['alpha'])}")
     if type(doc["length"]) is not int:  # bool is a subclass of int
-        raise ParseError(f"{path}: length must be an integer, not {doc['length']!r}")
+        raise ParseError(f"{path}: length must be an integer, not {shown(doc['length'])}")
     symbols = []
     for i, entry in enumerate(doc["symbols"]):
         if not isinstance(entry, dict) or not isinstance(entry.get("label"), str):
-            raise ParseError(f"{path}: symbols[{i}] needs a string label, not {entry!r}")
+            raise ParseError(f"{path}: symbols[{i}] needs a string label, not {shown(entry)}")
         label = entry["label"]
         if not label or any(ch.isspace() or ch == "," or "\ud800" <= ch <= "\udfff"
                             for ch in label):
             # CSV rows join labels with spaces, --seq splits on commas, and a
             # lone surrogate (a JSON escape) has no UTF-8 form
             raise ParseError(f"{path}: symbols[{i}] label must be non-empty UTF-8, without "
-                             f"whitespace or commas, not {label!r}")
+                             f"whitespace or commas, not {shown(label)}")
         if "value" in entry and entry["value"] is not None:
             symbols.append((label, _rational(entry["value"], f"{path}: symbols[{i}].value")))
         else:
             symbols.append(label)
     alpha = {
-        label: _rational(v, f"{path}: alpha[{label!r}]")
+        label: _rational(v, f"{path}: alpha[{shown(label)}]")
         for label, v in doc["alpha"].items()
     }
     try:
@@ -139,7 +138,7 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
         name = doc["builtin"]
         if name not in BUILTIN_KERNELS:
             raise ParseError(
-                f"{path}: builtin must be one of {', '.join(BUILTIN_KERNELS)}, not {name!r}"
+                f"{path}: builtin must be one of {', '.join(BUILTIN_KERNELS)}, not {shown(name)}"
             )
         size = _arity(doc, path) if "arity" in doc else arity
         if size is None:
@@ -155,13 +154,14 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
     else:
         for key in ("arity", "entries"):
             if key not in doc:
-                raise ParseError(f"{path}: missing field {key!r}")
+                raise ParseError(f"{path}: missing field {shown(key)}")
         if not isinstance(doc["entries"], list):
-            raise ParseError(f"{path}: entries must be a list, not {doc['entries']!r}")
+            raise ParseError(f"{path}: entries must be a list, not {shown(doc['entries'])}")
         entries = []
         for i, entry in enumerate(doc["entries"]):
             if not isinstance(entry, dict) or "multiset" not in entry or "value" not in entry:
-                raise ParseError(f"{path}: entries[{i}] needs multiset and value, not {entry!r}")
+                raise ParseError(f"{path}: entries[{i}] needs multiset and value, "
+                                 f"not {shown(entry)}")
             labels = _expand_multiset(entry["multiset"], f"{path}: entries[{i}].multiset")
             entries.append((labels, _rational(entry["value"], f"{path}: entries[{i}].value")))
         try:
@@ -176,17 +176,17 @@ def parse_kernel_file(path, model, arity=None) -> SymmetricKernel:
 def _arity(doc, path) -> int:
     value = doc["arity"]
     if type(value) is not int or value < 1:  # bool is a subclass of int
-        raise ParseError(f"{path}: arity must be a positive integer, not {value!r}")
+        raise ParseError(f"{path}: arity must be a positive integer, not {shown(value)}")
     return value
 
 
 def _expand_multiset(doc, where: str) -> tuple:
     if not isinstance(doc, dict):
-        raise ParseError(f"{where}: must map labels to counts, not {doc!r}")
+        raise ParseError(f"{where}: must map labels to counts, not {shown(doc)}")
     labels = []
     for label, count in doc.items():
         if type(count) is not int or count < 0:  # bool is a subclass of int
-            raise ParseError(f"{where}: bad multiplicity for {label!r}: {count!r}")
+            raise ParseError(f"{where}: bad multiplicity for {shown(label)}: {shown(count)}")
         labels.extend([label] * count)
     return tuple(labels)
 
@@ -311,29 +311,21 @@ def forked_rows(compute, count: int) -> list:
     must give the rows start..stop-1 whatever the blocks are.  The call
     raises WorkerFailed when a worker fails, and no worker outlives it."""
     workers = _worker_count(count)
-    if workers == 1:
-        return compute(0, count)
     bounds = [count * j // workers for j in range(workers + 1)]
     running = []  # (pid, pipe, start, stop) of each worker not yet reaped
     try:
-        # frozen objects are skipped by a worker's collections, which then
-        # leave the pages it shares with this process unwritten
-        gc.freeze()
-        try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                read, write = os.pipe()
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _worker(compute, start, stop, write)
-                except OSError:
-                    os.close(read)
-                    raise
-                finally:  # in this process only: a worker never returns
-                    os.close(write)
-                running.append((pid, open(read, "rb"), start, stop))
-        finally:
-            gc.unfreeze()
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(compute, start, stop, write)
+            except OSError:
+                os.close(read)
+                raise
+            finally:  # in this process only: a worker never returns
+                os.close(write)
+            running.append((pid, open(read, "rb"), start, stop))
         rows = compute(bounds[0], bounds[1])
         while running:
             pid, pipe, start, stop = running[0]
@@ -375,16 +367,10 @@ def cmd_coeffs(args):
         ["table", "i1", "i2", "i3", "i4", "value"],
         rational_columns=("value",),
     )
-    for (n, m, r, p), v in table.phi.items():
-        rep.add(table="phi", i1=n, i2=m, i3=r, i4=p, value=v)
-    for (q, n, m), v in table.psi.items():
-        rep.add(table="psi", i1=q, i2=n, i3=m, value=v)
-    for k, v in table.gamma.items():
-        rep.add(table="gamma", i1=k, value=v)
-    for (k, a), v in table.theta.items():
-        rep.add(table="theta", i1=k, i2=a, value=v)
-    for (k, a), v in table.theta_star.items():
-        rep.add(table="theta_star", i1=k, i2=a, value=v)
+    for name in table._fields[1:]:  # the five maps after M
+        for key, v in getattr(table, name).items():
+            indices = key if isinstance(key, tuple) else (key,)  # gamma is keyed by k alone
+            rep.add(table=name, **dict(zip(("i1", "i2", "i3", "i4"), indices)), value=v)
     return rep
 
 
@@ -548,14 +534,21 @@ def cmd_ustat_bound(args):
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {shown(text)}")
     return value
 
 
 def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {shown(text)}")
+    return value
+
+
+def open_unit_rational(text: str) -> Fraction:
+    value = rational(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, not {shown(text)}")
     return value
 
 
@@ -568,8 +561,8 @@ FLAGS = {
     "seed": {"type": non_negative_int},
     "level": {"type": positive_int},
     "overlap": {"type": non_negative_int},
-    "epsilon": {"type": rational},
-    "eta": {"type": rational, "default": Fraction(1, 2)},
+    "epsilon": {"type": open_unit_rational},
+    "eta": {"type": open_unit_rational, "default": Fraction(1, 2)},
     "draws": {"type": positive_int},
     "N": {"type": positive_int},
     "n": {"type": positive_int},

@@ -1,10 +1,11 @@
 """Deterministic CSV reports.
 
 Every run writes one CSV: a metadata row (tool version, parameter hash,
-seed, generator), a column header, then data rows in a deterministic order.
-Rational values are written as "p/q" with a parallel decimal column rounded
-to 12 significant digits; the decimal is advisory, the rational is the
-value of record.
+seed, generator), a header, then the rows sorted column by column in the
+declared order: numbers (ints and rationals, never booleans) by value and
+before any text, text by its characters, a missing cell as empty text.
+Rationals are written as "p/q" beside an advisory decimal column rounded to
+12 significant digits; the rational is the value of record.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ def param_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def format_decimal(x: Fraction) -> str:
     try:
         value = float(x)
@@ -44,8 +41,7 @@ def format_decimal(x: Fraction) -> str:
 
 
 class Report:
-    """A CSV in the making: ``rows`` is a list of {column: value} dicts
-    that grows by ``add``."""
+    """A CSV in the making: ``rows``, a list of {column: value} dicts, grows by ``add``."""
 
     def __init__(self, meta: dict, columns: list, rational_columns=()):
         self.meta = meta
@@ -60,33 +56,23 @@ class Report:
         key = []
         for col in self.columns:
             v = row.get(col, "")
-            if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-                key.append((0, v, ""))
-            else:
-                key.append((1, 0, str(v)))
+            number = isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+            key.append((0, v) if number else (1, str(v)))
         return tuple(key)
 
     def render(self, stream):
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["#meta"] + [f"{k}={v}" for k, v in self.meta.items()])
-        header = []
-        for col in self.columns:
-            header.append(col)
-            if col in self.rational_columns:
-                header.append(f"{col}_decimal")
-        writer.writerow(header)
+        plan = [(col, col in self.rational_columns) for col in self.columns]
+        writer.writerow([name for col, rational in plan
+                         for name in ((col, f"{col}_decimal") if rational else (col,))])
         for row in sorted(self.rows, key=self._sort_key):
             out = []
-            for col in self.columns:
+            for col, rational in plan:
                 v = row.get(col, "")
-                if col in self.rational_columns and isinstance(v, Fraction):
-                    out.append(format_rational(v))
-                    out.append(format_decimal(v))
-                elif col in self.rational_columns:
-                    out.append("" if v == "" else str(v))
-                    out.append("")
-                else:
-                    out.append(str(v))
+                out.append(str(v))
+                if rational:  # a rational column may also hold "" or an int
+                    out.append(format_decimal(v) if isinstance(v, Fraction) else "")
             writer.writerow(out)
 
 

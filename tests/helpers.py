@@ -3,9 +3,10 @@ every replacement regime, independent projection oracles (Gram matrix,
 i.i.d. inclusion-exclusion) used to cross-check the decomposition, an
 i.i.d. enumeration of the maximum, a rational RREF for the null spaces,
 the sub-multiset enumerator for sums over positions-subsets, a step-by-step
-reference for the sampling stream, and a hypothesis strategy of numeric urn
-models over every replacement regime."""
+reference for the sampling stream, a hypothesis strategy of numeric urn
+models over every replacement regime, and a reference CSV renderer."""
 
+import csv
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from urnova import (
     ustatistic,
 )
 from urnova.combinatorics import permutation_count, prod
+from urnova.report import format_decimal
 
 LABELED = [("u", 0), ("v", 1), ("w", 2), ("x", 3)]
 
@@ -281,3 +283,41 @@ def sample_reference(model, n, seed):
         seen[label] += 1
         out.append(label)
     return tuple(out)
+
+
+def reference_sort_key(report, row):
+    """The row key of ``Report`` before each cell had a two-element key."""
+    key = []
+    for col in report.columns:
+        v = row.get(col, "")
+        if isinstance(v, (int, F)) and not isinstance(v, bool):
+            key.append((0, v, ""))
+        else:
+            key.append((1, 0, str(v)))
+    return tuple(key)
+
+
+def reference_render(report, stream):
+    """``Report.render`` before it chose the rational columns once per
+    report, with ``format_rational`` inlined as ``str(F(v))``."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["#meta"] + [f"{k}={v}" for k, v in report.meta.items()])
+    header = []
+    for col in report.columns:
+        header.append(col)
+        if col in report.rational_columns:
+            header.append(f"{col}_decimal")
+    writer.writerow(header)
+    for row in sorted(report.rows, key=lambda row: reference_sort_key(report, row)):
+        out = []
+        for col in report.columns:
+            v = row.get(col, "")
+            if col in report.rational_columns and isinstance(v, F):
+                out.append(str(F(v)))
+                out.append(format_decimal(v))
+            elif col in report.rational_columns:
+                out.append("" if v == "" else str(v))
+                out.append("")
+            else:
+                out.append(str(v))
+        writer.writerow(out)

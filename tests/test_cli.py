@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import gc
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -51,6 +53,8 @@ from urnova.cli import (COMMANDS, kernel_json_text, kernel_to_json, main, parse_
 from urnova.errors import ExhaustedUrn, ParseError, ValidationError
 from urnova.report import Report, format_decimal, render_csv
 from urnova.weak_copy import dirichlet_moment
+
+from helpers import reference_render
 
 
 def write_json(path, doc):
@@ -138,7 +142,34 @@ class TestSidecarText:
                                                       sort_keys=True)
 
 
+REPORT_CELLS = st.one_of(
+    st.integers(-3, 3), st.integers(), st.booleans(), st.just(""),
+    st.text(alphabet='ab1-/ ,"', max_size=3), st.fractions(max_denominator=5),
+    st.sampled_from([F(0), F(-1, 2), F(1, 10**400), F(-10**400, 3), F(7, 10**320)]),
+)
+
+
+@st.composite
+def reports(draw):
+    """A report over random columns and rational columns, with rows that
+    mix numbers and text in every column and leave some cells missing."""
+    columns = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True))
+    rational = tuple(draw(st.lists(st.sampled_from(columns), unique=True)))
+    rep = Report({"tool_version": "t", "seed": 3}, columns, rational_columns=rational)
+    for row in draw(st.lists(st.fixed_dictionaries(
+            {}, optional={col: REPORT_CELLS for col in columns}), max_size=8)):
+        rep.add(**row)
+    return rep
+
+
 class TestReports:
+    @given(rep=reports())
+    def test_render_equals_the_reference(self, rep):
+        ours, reference = io.StringIO(), io.StringIO()
+        rep.render(ours)
+        reference_render(rep, reference)
+        assert ours.getvalue() == reference.getvalue()
+
     def test_rational_formatting(self, tmp_path):
         rep = Report({"tool_version": "t"}, ["value"], rational_columns=("value",))
         rep.add(value=F(1, 3))
@@ -735,6 +766,9 @@ class TestFlagErrors:
         (["decompose", "--model", "MODEL", "--kernel", "MODEL", "--M", "0"], "--M"),
         (["decompose", "--model", "MODEL", "--M", "2"], "--kernel"),
         (["counterexample", "--epsilon", "1/0"], "--epsilon"),
+        (["counterexample", "--epsilon", "2"], "--epsilon"),
+        (["counterexample", "--epsilon", "1"], "--epsilon"),
+        (["weak-copy", "--model", "MODEL", "--kernel", "MODEL", "--eta", "1"], "--eta"),
     ])
     def test_exit_2_names_the_flag(self, tmp_path, capsys, argv, flag):
         model = write_json(tmp_path / "m.json", polya_doc())
@@ -1302,7 +1336,7 @@ class TestOracleIsolation:
 LABELS = st.sampled_from(["a", "b", "c"])
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 5), st.sampled_from([0.5, -1.0]),
-    st.sampled_from(["0", "1", "2", "-1", "1/2", "-1/2", "3/2", "x", "1/0", ""]),
+    st.sampled_from(["0", "1", "2", "-1", "1/2", "-1/2", "3/2", "x", "1/0", "", "x" * 5000]),
 )
 JSON = st.recursive(
     SCALARS,
@@ -1402,5 +1436,8 @@ class TestFuzzDocuments:
             model = write_json(root / "m.json", docs[0])
             kernel = write_json(root / "k.json", docs[1])
             argv = [kernel if a == "K" else a for a in argv]
-            code = main([*argv, "--model", model, "--out", str(root / "o.csv")])
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([*argv, "--model", model, "--out", str(root / "o.csv")])
         assert code in (0, 2, 3, 4, 5, 6)
+        # a refused value is cut, so a 5000-character one never fills a line
+        assert all(len(line) < 400 for line in err.getvalue().splitlines())

@@ -1,6 +1,8 @@
 """Library refusals that no other test reaches: each call must raise the
-named exception class with a message holding the fragment."""
+named exception class with a message holding the fragment; and document
+refusals of long values, whose message must stay one short line."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +26,7 @@ from urnova.errors import (
     ValidationError,
     ZeroDenominator,
 )
+from urnova.cli import main
 from urnova.models import Alphabet, Symbol, UrnModel
 from urnova.weak_copy import build_weak_copy
 from urnova.weak_independence import check_weak_independence, offdiagonal_functional
@@ -110,3 +113,19 @@ def test_a_long_refused_value_is_cut_in_the_message(value, shown):
     with pytest.raises(ValidationError) as refusal:
         as_fraction(value)
     assert str(refusal.value) == f"not an exact rational: {shown}"
+
+
+# a model document whose alpha is refused, and the cut echo of the refusal
+@pytest.mark.parametrize("alpha, echo", [
+    (["x" * 5000], "alpha must map labels to weights, not ['" + "x" * 38
+     + "... (5004 characters)"),
+    ({"x" * 5000: "bad"}, "alpha['" + "x" * 39 + "... (5002 characters)]: not a rational: 'bad'"),
+], ids=["alpha-list", "alpha-key"])
+def test_a_long_document_value_is_cut_in_the_message(tmp_path, capsys, alpha, echo):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"symbols": [{"label": "a"}], "alpha": alpha, "c": "1",
+                                "length": 2}))
+    assert main(["validate", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error[parse]: {path}: {echo}\n"
+    assert len(err) < 200
