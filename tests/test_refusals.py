@@ -129,3 +129,14 @@ def test_a_long_document_value_is_cut_in_the_message(tmp_path, capsys, alpha, ec
     err = capsys.readouterr().err
     assert err == f"error[parse]: {path}: {echo}\n"
     assert len(err) < 200
+
+
+def test_a_long_multiplicity_is_cut_in_the_message(tmp_path, capsys):
+    model, kernel = tmp_path / "m.json", tmp_path / "k.json"
+    model.write_text(json.dumps({"symbols": [{"label": "a"}], "alpha": {"a": "1"}, "c": "1",
+                                 "length": 2}))
+    kernel.write_text(json.dumps({"arity": 1, "entries": [{"multiset": {"a": "x" * 5000},
+                                                           "value": "1"}]}))
+    assert main(["decompose", "--model", str(model), "--kernel", str(kernel), "--M", "1"]) == 2
+    assert capsys.readouterr().err == (f"error[parse]: {kernel}: entries[0].multiset: bad "
+                                       f"multiplicity for 'a': '{'x' * 39}... (5002 characters)\n")
