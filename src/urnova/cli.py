@@ -531,18 +531,24 @@ def cmd_ustat_bound(args):
 
 # -- flags ---------------------------------------------------------------------
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {shown(text)}")
+def _int_at_least(text: str, least: int, words: str) -> int:
+    """An integer flag of at least `least`; text that is no integer is
+    refused in the same words as one out of range."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        raise argparse.ArgumentTypeError(f"must be {words}, not {shown(text)}")
     return value
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "a positive integer")
 
 
 def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {shown(text)}")
-    return value
+    return _int_at_least(text, 0, "a non-negative integer")
 
 
 def open_unit_rational(text: str) -> Fraction:

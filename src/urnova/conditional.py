@@ -231,16 +231,14 @@ def symmetrized_offdiagonal(model, statistic: SymmetricKernel, overlap: int) -> 
     alphabet = model.alphabet
     support = set(model.support_multisets(n - 1))
     norm = Fraction(1, binomial(n - 1, r))
-    entries = []
-    for ms in alphabet.multisets(n - 1):
+    def value(ms):
         if ms not in support:
-            entries.append((ms, Fraction(0)))
-            continue
+            return Fraction(0)
         acc = Fraction(0)
         for pick in itertools.combinations(range(n - 1), r):
             chosen = set(pick)
             common = tuple(ms[i] for i in pick)
             extra = tuple(ms[i] for i in range(n - 1) if i not in chosen)
             acc += cond_expectation(model, statistic, common, extra)
-        entries.append((ms, norm * acc))
-    return SymmetricKernel(n - 1, alphabet, tuple(entries))
+        return norm * acc
+    return SymmetricKernel.tabulate(alphabet, n - 1, value)

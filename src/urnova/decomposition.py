@@ -71,8 +71,8 @@ def _combine_levels(model, fam, coefs: dict, size: int) -> SymmetricKernel:
     K, Q = integer_numerators(Fraction(coefs[a]) / fam.dens[a] for a in keys)
     tables = {a: {ms: k * n for ms, n in fam.nums[a].items()} for a, k in zip(keys, K)}
     sums, lead = subset_sums(tables, model.support_multisets, size)
-    return SymmetricKernel(size, model.alphabet, tuple(
-        (ms, Fraction(sums.get(ms, 0), lead * Q)) for ms in model.alphabet.multisets(size)))
+    return SymmetricKernel.tabulate(model.alphabet, size,
+                                    lambda ms: Fraction(sums.get(ms, 0), lead * Q))
 
 
 def _level_inputs(model, statistic: SymmetricKernel, horizon: int, s: int):

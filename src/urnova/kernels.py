@@ -9,6 +9,7 @@ the linear algebra on kernels (null spaces, projections) direct.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +22,7 @@ from .errors import (
     MissingMultiset,
     NonNumericAlphabet,
 )
-from .models import Alphabet, Record, as_fraction, check_horizon
+from .models import Alphabet, Record, as_fraction, check_horizon, shown
 
 
 class SymmetricKernel(Record, namedtuple("SymmetricKernel", "arity alphabet entries")):
@@ -52,18 +53,27 @@ class SymmetricKernel(Record, namedtuple("SymmetricKernel", "arity alphabet entr
     def is_zero(self) -> bool:
         return all(v == 0 for _, v in self.entries)
 
+    @classmethod
+    def tabulate(cls, alphabet: Alphabet, arity: int, value) -> "SymmetricKernel":
+        """The one layout of a kernel: ``(ms, value(ms))`` for every size-
+        ``arity`` multiset ``ms`` of the alphabet, in canonical order."""
+        return cls(arity, alphabet, tuple((ms, value(ms)) for ms in alphabet.multisets(arity)))
+
     def _with_values(self, fn):
-        return SymmetricKernel(
-            self.arity,
-            self.alphabet,
-            tuple((ms, fn(ms, v)) for ms, v in self.entries),
-        )
+        return self._replace(entries=tuple((ms, fn(ms, v)) for ms, v in self.entries))
+
+    def _combine(self, other: "SymmetricKernel", op) -> "SymmetricKernel":
+        if other.arity != self.arity or other.alphabet != self.alphabet:
+            raise ArityMismatch(
+                f"cannot combine kernels of arity {self.arity} and {other.arity}"
+                + ("" if other.alphabet == self.alphabet else " over different alphabets"))
+        return self._with_values(lambda ms, v: op(v, other.table[ms]))
 
     def __add__(self, other: "SymmetricKernel") -> "SymmetricKernel":
-        return self._with_values(lambda ms, v: v + other.table[ms])
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "SymmetricKernel") -> "SymmetricKernel":
-        return self._with_values(lambda ms, v: v - other.table[ms])
+        return self._combine(other, operator.sub)
 
     def scale(self, factor) -> "SymmetricKernel":
         factor = as_fraction(factor)
@@ -74,7 +84,7 @@ class SymmetricKernel(Record, namedtuple("SymmetricKernel", "arity alphabet entr
         return self._with_values(lambda ms, v: v + constant)
 
     def pointwise_product(self, other: "SymmetricKernel") -> "SymmetricKernel":
-        return self._with_values(lambda ms, v: v * other.table[ms])
+        return self._combine(other, operator.mul)
 
 
 def from_table(alphabet: Alphabet, arity: int, mapping) -> SymmetricKernel:
@@ -87,25 +97,20 @@ def from_table(alphabet: Alphabet, arity: int, mapping) -> SymmetricKernel:
     for labels, value in items:
         key = alphabet.canon(labels)
         if len(key) != arity:
-            raise ArityMismatch(f"entry {labels!r} has size {len(key)}, not {arity}")
+            raise ArityMismatch(f"entry {shown(labels)} has size {len(key)}, not {arity}")
         if key in seen:
-            raise DuplicateMultiset(f"multiset {key!r} specified twice")
+            raise DuplicateMultiset(f"multiset {shown(key)} specified twice")
         seen[key] = as_fraction(value)
-    entries = []
-    for ms in alphabet.multisets(arity):
+    def listed(ms):
         if ms not in seen:
-            raise MissingMultiset(f"no value for multiset {ms!r}")
-        entries.append((ms, seen[ms]))
-    return SymmetricKernel(arity, alphabet, tuple(entries))
+            raise MissingMultiset(f"no value for multiset {shown(ms)}")
+        return seen[ms]
+    return SymmetricKernel.tabulate(alphabet, arity, listed)
 
 
 def constant_kernel(alphabet: Alphabet, arity: int, value) -> SymmetricKernel:
     value = as_fraction(value)
-    return SymmetricKernel(
-        arity,
-        alphabet,
-        tuple((ms, value) for ms in alphabet.multisets(arity)),
-    )
+    return SymmetricKernel.tabulate(alphabet, arity, lambda ms: value)
 
 
 def zero_kernel(alphabet: Alphabet, arity: int) -> SymmetricKernel:
@@ -115,14 +120,7 @@ def zero_kernel(alphabet: Alphabet, arity: int) -> SymmetricKernel:
 def indicator_kernel(alphabet: Alphabet, target) -> SymmetricKernel:
     """1 on one multiset, 0 elsewhere."""
     key = alphabet.canon(target)
-    return SymmetricKernel(
-        alphabet=alphabet,
-        arity=len(key),
-        entries=tuple(
-            (ms, Fraction(1 if ms == key else 0))
-            for ms in alphabet.multisets(len(key))
-        ),
-    )
+    return SymmetricKernel.tabulate(alphabet, len(key), lambda ms: Fraction(1 if ms == key else 0))
 
 
 def symmetrize(alphabet: Alphabet, arity: int, fn) -> SymmetricKernel:
@@ -131,12 +129,9 @@ def symmetrize(alphabet: Alphabet, arity: int, fn) -> SymmetricKernel:
     The average runs over all arity! permutations, so a function that is
     already symmetric comes back unchanged (the map is a projection).
     """
-    entries = []
     norm = Fraction(1, factorial(arity))
-    for ms in alphabet.multisets(arity):
-        total = sum((as_fraction(fn(p)) for p in itertools.permutations(ms)), Fraction(0))
-        entries.append((ms, norm * total))
-    return SymmetricKernel(arity, alphabet, tuple(entries))
+    return SymmetricKernel.tabulate(alphabet, arity, lambda ms: norm * sum(
+        (as_fraction(fn(p)) for p in itertools.permutations(ms)), Fraction(0)))
 
 
 BUILTIN_KERNELS = ("max", "min", "mean", "indicator")
@@ -164,11 +159,7 @@ def builtin_kernel(alphabet: Alphabet, arity: int, name: str, target=None) -> Sy
         if name == "min":
             return min(values)
         return sum(values, Fraction(0)) / len(values)
-    return SymmetricKernel(
-        arity,
-        alphabet,
-        tuple((ms, evaluate(ms)) for ms in alphabet.multisets(arity)),
-    )
+    return SymmetricKernel.tabulate(alphabet, arity, evaluate)
 
 
 def ustatistic(kernel: SymmetricKernel, size: int) -> SymmetricKernel:
@@ -176,9 +167,7 @@ def ustatistic(kernel: SymmetricKernel, size: int) -> SymmetricKernel:
     if size < kernel.arity:
         raise ArityMismatch("u-statistic size below kernel arity")
     sums, lead = subset_sums({kernel.arity: kernel.table}, kernel.alphabet.multisets, size)
-    return SymmetricKernel(size, kernel.alphabet, tuple(
-        (ms, sums[ms] / lead) for ms in kernel.alphabet.multisets(size)
-    ))
+    return SymmetricKernel.tabulate(kernel.alphabet, size, lambda ms: sums[ms] / lead)
 
 
 def expectation(model, kernel: SymmetricKernel) -> Fraction:

@@ -115,12 +115,12 @@ class Alphabet(Record, namedtuple("Alphabet", "symbols")):
         try:
             return self._index[label]
         except KeyError:
-            raise UnknownSymbol(f"unknown symbol {label!r}") from None
+            raise UnknownSymbol(f"unknown symbol {shown(label)}") from None
 
     def value(self, label: str) -> Fraction:
         v = self.symbols[self.index(label)].value
         if v is None:
-            raise NonNumericAlphabet(f"symbol {label!r} has no numeric value")
+            raise NonNumericAlphabet(f"symbol {shown(label)} has no numeric value")
         return v
 
     def is_numeric(self) -> bool:
@@ -133,7 +133,7 @@ class Alphabet(Record, namedtuple("Alphabet", "symbols")):
         try:
             return tuple(sorted(labels, key=self._index.__getitem__))
         except KeyError as exc:
-            raise UnknownSymbol(f"unknown symbol {exc.args[0]!r}") from None
+            raise UnknownSymbol(f"unknown symbol {shown(exc.args[0])}") from None
 
     def multisets(self, size: int):
         return multisets(self.labels, size)
@@ -234,7 +234,7 @@ class UrnModel(Record, namedtuple("UrnModel", "alphabet alpha c length"), _Law):
             raise ValidationError("alpha must assign a weight to every symbol")
         for label, w in alpha:
             if w < 0:
-                raise ValidationError(f"alpha({label!r}) must be >= 0")
+                raise ValidationError(f"alpha({shown(label)}) must be >= 0")
         total = self.alpha_total
         if total == 0:
             raise EmptyMeasure("total alpha mass must be positive")
@@ -243,7 +243,7 @@ class UrnModel(Record, namedtuple("UrnModel", "alphabet alpha c length"), _Law):
             for label, w in alpha:
                 if (w / step).denominator != 1:
                     raise ExhaustedUrn(
-                        f"alpha({label!r}) must be an integer multiple of |c| "
+                        f"alpha({shown(label)}) must be an integer multiple of |c| "
                         "when c < 0, else a replacement factor turns negative"
                     )
         if total + c * (length - 1) <= 0:
@@ -264,7 +264,7 @@ class UrnModel(Record, namedtuple("UrnModel", "alphabet alpha c length"), _Law):
         try:
             return self._alpha_map[label]
         except KeyError:
-            raise UnknownSymbol(f"unknown symbol {label!r}") from None
+            raise UnknownSymbol(f"unknown symbol {shown(label)}") from None
 
     @property
     def rate(self) -> Fraction:

@@ -52,12 +52,12 @@ def degenerate_basis(model, n: int):
     """Basis of arity-n kernels with vanishing one-step predictive average:
     the null vectors of the prediction map, each divided by its lead, so
     each kernel leads with 1."""
-    columns = list(model.alphabet.multisets(n))
     basis = []
     for vec in _null_vectors(model, n):
         lead = next(x for x in vec if x)
-        entries = tuple((ms, Fraction(x, lead)) for ms, x in zip(columns, vec))
-        basis.append(SymmetricKernel(n, model.alphabet, entries))
+        column = dict(zip(model.alphabet.multisets(n), vec))
+        basis.append(SymmetricKernel.tabulate(model.alphabet, n,
+                                              lambda ms: Fraction(column[ms], lead)))
     return basis
 
 

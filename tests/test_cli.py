@@ -777,6 +777,23 @@ class TestFlagErrors:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    # argparse would echo the whole text after "invalid positive_int value"
+    @pytest.mark.parametrize("argv, line", [
+        (["sample", "--count", "12x", "--seed", "1"],
+         "urnova sample: error: argument --count: must be a positive integer, not '12x'"),
+        (["sample", "--count", "x" * 5000, "--seed", "1"],
+         "urnova sample: error: argument --count: must be a positive integer, not '"
+         + "x" * 39 + "... (5002 characters)"),
+        (["sample", "--count", "1", "--seed", "1.5"],
+         "urnova sample: error: argument --seed: must be a non-negative integer, not '1.5'"),
+    ], ids=["non-integer", "long", "non-negative"])
+    def test_a_non_integer_is_refused_in_the_range_words(self, tmp_path, capsys, argv, line):
+        model = write_json(tmp_path / "m.json", polya_doc())
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--model", model])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == line
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         # random.Random seeds on |seed|, so rows at seeds -1 and 1 would repeat
         model = write_json(tmp_path / "m.json", polya_doc())
@@ -1333,7 +1350,7 @@ class TestOracleIsolation:
             assert main([*argv, "--out", out]) == 0, argv
 
 
-LABELS = st.sampled_from(["a", "b", "c"])
+LABELS = st.sampled_from(["a", "b", "c", "x" * 5000])
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 5), st.sampled_from([0.5, -1.0]),
     st.sampled_from(["0", "1", "2", "-1", "1/2", "-1/2", "3/2", "x", "1/0", "", "x" * 5000]),

@@ -10,22 +10,28 @@ from urnova import (
     builtin_kernel,
     cond_expectation,
     constant_kernel,
+    decompose,
+    degenerate_basis,
     expectation,
     from_table,
     indicator_kernel,
     max_cond_closed_form,
     max_mean_closed_form,
+    project_level,
     symmetrize,
+    symmetrized_offdiagonal,
     urn_model,
     ustatistic,
     zero_kernel,
 )
 from urnova.errors import (
     ArityMismatch,
+    DegenerateAssumption,
     DuplicateMultiset,
     MissingMultiset,
     NonNumericAlphabet,
     UnknownSymbol,
+    ZeroDenominator,
 )
 from helpers import iid_max_integral, random_kernel, urn_models
 
@@ -71,6 +77,36 @@ class TestTables:
         m = numeric_model()
         with pytest.raises(UnknownSymbol):
             indicator_kernel(m.alphabet, ("a",)).value(("z",))
+
+
+class TestLayout:
+    @given(model=urn_models(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_builder_lists_the_canonical_multisets(self, model, data):
+        alphabet, horizon = model.alphabet, model.length
+        arity = data.draw(st.integers(1, horizon))
+        pairs = [(ms[::-1], data.draw(st.integers(-3, 3))) for ms in alphabet.multisets(arity)]
+        table = from_table(alphabet, arity, data.draw(st.permutations(pairs)))
+        top = builtin_kernel(alphabet, horizon, "max")
+        centered = top.shift(-expectation(model, top))
+        try:
+            levels = [*decompose(model, top, horizon).kernels,
+                      *(project_level(model, centered, horizon, s) for s in range(1, horizon + 1))]
+        except (DegenerateAssumption, ZeroDenominator):  # no coefficient table at this rate
+            levels = []
+        n = data.draw(st.integers(1, (horizon + 1) // 2))  # every overlap fits the horizon
+        kernels = [
+            table, constant_kernel(alphabet, arity, 2), zero_kernel(alphabet, arity),
+            indicator_kernel(alphabet, pairs[-1][0]),
+            symmetrize(alphabet, arity, lambda p: alphabet.value(p[0])),
+            *(builtin_kernel(alphabet, arity, name) for name in ("max", "min", "mean")),
+            ustatistic(table, horizon), table + table, table.pointwise_product(table),
+            *levels, *degenerate_basis(model, n),
+            *(symmetrized_offdiagonal(model, builtin_kernel(alphabet, n, "max"), r)
+              for r in range(n)),
+        ]
+        for k in kernels:
+            assert [ms for ms, _ in k.entries] == list(k.alphabet.multisets(k.arity))
 
 
 class TestSymmetrize:

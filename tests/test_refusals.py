@@ -34,6 +34,7 @@ from urnova.weak_independence import check_weak_independence, offdiagonal_functi
 MODEL = urn_model([("a", 0), ("b", 1)], {"a": 1, "b": 2}, 1, 4)
 MAX2 = builtin_kernel(MODEL.alphabet, 2, "max")
 MAX3 = builtin_kernel(MODEL.alphabet, 3, "max")
+MAX2_PQ = builtin_kernel(Alphabet((Symbol("p", F(0)), Symbol("q", F(1)))), 2, "max")
 
 REFUSALS = {
     "gamma_coeff-pivot": (lambda: gamma_coeff(3, 1, F(-1, 3)),
@@ -65,6 +66,12 @@ REFUSALS = {
     "unknown-builtin": (lambda: builtin_kernel(MODEL.alphabet, 2, "median"),
                         ValueError, "unknown builtin kernel 'median'"),
     "ustatistic-size": (lambda: ustatistic(MAX3, 2), ArityMismatch, "below kernel arity"),
+    "kernel-sum-arity": (lambda: MAX2 + MAX3, ArityMismatch, "kernels of arity 2 and 3"),
+    "kernel-product-arity": (lambda: MAX2.pointwise_product(MAX3),
+                             ArityMismatch, "kernels of arity 2 and 3"),
+    "kernel-sum-arity-reversed": (lambda: MAX3 + MAX2, ArityMismatch, "kernels of arity 3 and 2"),
+    "kernel-sum-alphabet": (lambda: MAX2 + MAX2_PQ, ArityMismatch,
+                            "kernels of arity 2 and 2 over different alphabets"),
     "Alphabet.value": (lambda: Alphabet((Symbol("a"),)).value("a"),
                        NonNumericAlphabet, "'a' has no numeric value"),
     "UrnModel-alpha": (lambda: UrnModel(MODEL.alphabet, (("a", F(1)),), F(1), 3),
@@ -140,3 +147,25 @@ def test_a_long_multiplicity_is_cut_in_the_message(tmp_path, capsys):
     assert main(["decompose", "--model", str(model), "--kernel", str(kernel), "--M", "1"]) == 2
     assert capsys.readouterr().err == (f"error[parse]: {kernel}: entries[0].multiset: bad "
                                        f"multiplicity for 'a': '{'x' * 39}... (5002 characters)\n")
+
+
+
+# a refusal that echoes a 5,000-letter label, or a multiset of one, run
+# through the CLI
+@pytest.mark.parametrize("alpha, argv, echo", [
+    ("1", ["decompose", "--kernel", "{kernel}", "--M", "1"],
+     "{kernel}: entries: no value for multiset ('" + "x" * 38 + "... (5005 characters)"),
+    ("1", ["pmf", "--seq", "z" * 5000],
+     "--seq: unknown symbol '" + "z" * 39 + "... (5002 characters)"),
+    ("-1", ["validate"], "alpha('" + "x" * 39 + "... (5002 characters)) must be >= 0"),
+], ids=["missing-multiset", "unknown-symbol", "negative-alpha"])
+def test_a_long_label_is_cut_in_the_message(tmp_path, capsys, alpha, argv, echo):
+    model, kernel = tmp_path / "m.json", tmp_path / "k.json"
+    label = "x" * 5000
+    model.write_text(json.dumps({"symbols": [{"label": label}], "alpha": {label: alpha},
+                                 "c": "1", "length": 2}))
+    kernel.write_text(json.dumps({"arity": 1, "entries": []}))
+    assert main([a.format(kernel=kernel) for a in argv] + ["--model", str(model)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error[validation]: {echo.format(kernel=kernel)}\n"
+    assert len(err) < 200
