@@ -55,8 +55,8 @@ class SymmetricKernel(Record, namedtuple("SymmetricKernel", "arity alphabet entr
 
     @classmethod
     def tabulate(cls, alphabet: Alphabet, arity: int, value) -> "SymmetricKernel":
-        """The one layout of a kernel: ``(ms, value(ms))`` for every size-
-        ``arity`` multiset ``ms`` of the alphabet, in canonical order."""
+        """The one layout of a kernel: ``(ms, value(ms))`` for every
+        multiset ``ms`` of ``arity`` labels, in canonical order."""
         return cls(arity, alphabet, tuple((ms, value(ms)) for ms in alphabet.multisets(arity)))
 
     def _with_values(self, fn):
